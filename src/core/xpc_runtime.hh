@@ -213,9 +213,6 @@ class XpcRuntime
     bool segRead(hw::Core &core, uint64_t off, void *dst, uint64_t len);
     /// @}
 
-    /** Busy invocation contexts of entry @p id (for tests). */
-    uint32_t busyContexts(uint64_t id) const;
-
     /** Make @p thread the one whose XPC CSRs live on @p core. */
     void ensureInstalled(hw::Core &core, kernel::Thread &thread);
 

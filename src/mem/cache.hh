@@ -77,10 +77,20 @@ class Cache
     Cache *next;
     Cycles memLatency;
     uint32_t numSets;
+    /** log2 of the line size and of the set count (both powers of two). */
+    uint32_t lineShift;
+    uint32_t setShift;
     uint64_t clock = 0;
     std::vector<Line> lines;
 
-    Cycles accessLine(uint64_t line_addr, bool is_write);
+    /**
+     * Miss path for line number @p line_num, whose set @p set_idx
+     * starts at @p ways: evict the LRU way (writing it back if dirty),
+     * fill from below, and install the line as most recently used.
+     * @return hit latency plus writeback and fill costs.
+     */
+    Cycles fillLine(Line *ways, uint64_t set_idx, uint64_t line_num,
+                    bool is_write);
 };
 
 } // namespace xpc::mem

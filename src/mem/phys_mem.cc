@@ -21,16 +21,15 @@ PhysMem::checkRange(PAddr addr, uint64_t len) const
 }
 
 uint8_t *
-PhysMem::framePtr(PAddr addr) const
+PhysMem::writableFrame(PAddr addr)
 {
     uint64_t frame = addr >> pageShift;
-    auto it = frames.find(frame);
-    if (it == frames.end()) {
-        auto mem = std::make_unique<uint8_t[]>(pageSize);
-        std::memset(mem.get(), 0, pageSize);
-        it = frames.emplace(frame, std::move(mem)).first;
-    }
-    return it->second.get();
+    if (frame >= frames.size())
+        frames.resize(frame + 1);
+    auto &slot = frames[frame];
+    if (!slot)
+        slot = std::make_unique<uint8_t[]>(pageSize); // value-init: zeroed
+    return slot.get();
 }
 
 void
@@ -41,7 +40,10 @@ PhysMem::read(PAddr addr, void *dst, uint64_t len) const
     while (len > 0) {
         uint64_t off = addr & pageMask;
         uint64_t chunk = std::min(len, pageSize - off);
-        std::memcpy(out, framePtr(addr) + off, chunk);
+        if (const uint8_t *f = framePtr(addr))
+            std::memcpy(out, f + off, chunk);
+        else
+            std::memset(out, 0, chunk);
         addr += chunk;
         out += chunk;
         len -= chunk;
@@ -56,20 +58,25 @@ PhysMem::write(PAddr addr, const void *src, uint64_t len)
     while (len > 0) {
         uint64_t off = addr & pageMask;
         uint64_t chunk = std::min(len, pageSize - off);
-        std::memcpy(framePtr(addr) + off, in, chunk);
+        std::memcpy(writableFrame(addr) + off, in, chunk);
         addr += chunk;
         in += chunk;
         len -= chunk;
     }
 }
 
+// An aligned word never straddles a frame, so the word accessors skip
+// the chunk loop: one range check and one direct copy.
+
 uint64_t
 PhysMem::read64(PAddr addr) const
 {
     panic_if(addr % 8 != 0, "unaligned read64 at %#lx",
              (unsigned long)addr);
-    uint64_t value;
-    read(addr, &value, sizeof(value));
+    checkRange(addr, sizeof(uint64_t));
+    uint64_t value = 0;
+    if (const uint8_t *f = framePtr(addr))
+        std::memcpy(&value, f + (addr & pageMask), sizeof(value));
     return value;
 }
 
@@ -78,7 +85,9 @@ PhysMem::write64(PAddr addr, uint64_t value)
 {
     panic_if(addr % 8 != 0, "unaligned write64 at %#lx",
              (unsigned long)addr);
-    write(addr, &value, sizeof(value));
+    checkRange(addr, sizeof(uint64_t));
+    std::memcpy(writableFrame(addr) + (addr & pageMask), &value,
+                sizeof(value));
 }
 
 void
@@ -88,7 +97,8 @@ PhysMem::clear(PAddr addr, uint64_t len)
     while (len > 0) {
         uint64_t off = addr & pageMask;
         uint64_t chunk = std::min(len, pageSize - off);
-        std::memset(framePtr(addr) + off, 0, chunk);
+        if (uint8_t *f = framePtr(addr)) // an absent frame is zero
+            std::memset(f + off, 0, chunk);
         addr += chunk;
         len -= chunk;
     }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Sparse simulated physical memory and a physical frame allocator.
+ * Lazily allocated simulated physical memory and a physical frame
+ * allocator.
  *
  * PhysMem holds the functional state of DRAM: every byte a simulated
  * program reads or writes lives here. Timing is charged elsewhere (by
@@ -47,10 +48,23 @@ class PhysMem
 
   private:
     uint64_t memSize;
-    /** Lazily allocated 4 KiB frames keyed by frame number. */
-    mutable std::map<uint64_t, std::unique_ptr<uint8_t[]>> frames;
+    /**
+     * Lazily allocated 4 KiB frames indexed by frame number. The table
+     * grows only to the highest frame written (never presized to the
+     * DRAM size); a null slot reads as zeros.
+     */
+    std::vector<std::unique_ptr<uint8_t[]>> frames;
 
-    uint8_t *framePtr(PAddr addr) const;
+    /** @return the frame holding @p addr, or null if never written. */
+    uint8_t *
+    framePtr(PAddr addr) const
+    {
+        uint64_t frame = addr >> pageShift;
+        return frame < frames.size() ? frames[frame].get() : nullptr;
+    }
+
+    /** @return the frame holding @p addr, allocating it zeroed. */
+    uint8_t *writableFrame(PAddr addr);
     void checkRange(PAddr addr, uint64_t len) const;
 };
 

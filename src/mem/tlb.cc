@@ -92,16 +92,4 @@ Tlb::flushAsid(Asid asid)
     flushes.inc();
 }
 
-void
-Tlb::flushPage(Asid asid, VAddr vaddr)
-{
-    uint64_t vpn = vaddr >> pageShift;
-    TlbEntry *ways = set(vpn);
-    for (uint32_t i = 0; i < assoc; i++) {
-        TlbEntry &e = ways[i];
-        if (e.valid && e.vpn == vpn && e.asid == asid)
-            e.valid = false;
-    }
-}
-
 } // namespace xpc::mem

@@ -61,9 +61,6 @@ class Tlb
     /** Drop entries belonging to @p asid (unmap/shootdown). */
     void flushAsid(Asid asid);
 
-    /** Drop the single translation for (asid, vaddr) if present. */
-    void flushPage(Asid asid, VAddr vaddr);
-
     Counter hits;
     Counter misses;
     Counter flushes;

@@ -54,6 +54,67 @@ TEST(PhysMemTest, ZeroInitialized)
     EXPECT_EQ(pm.read64(0x8000), 0u);
 }
 
+TEST(PhysMemTest, FrameNearTopOfOneGiB)
+{
+    PhysMem pm(uint64_t(1) << 30);
+    PAddr top = (uint64_t(1) << 30) - pageSize + 0x10;
+    uint8_t data[32];
+    for (int i = 0; i < 32; i++)
+        data[i] = uint8_t(0xa0 + i);
+    pm.write(top, data, sizeof(data));
+    uint8_t out[32] = {};
+    pm.read(top, out, sizeof(out));
+    EXPECT_EQ(std::memcmp(data, out, sizeof(data)), 0);
+    EXPECT_EQ(pm.read64((uint64_t(1) << 30) - 8), 0u);
+}
+
+TEST(PhysMemTest, UntouchedLowFrameReadsZeroAfterGrowth)
+{
+    PhysMem pm(64 << 20);
+    pm.write64(40 << 20, 0x1122334455667788ULL); // grows the table
+    uint8_t out[pageSize];
+    std::memset(out, 0xff, sizeof(out));
+    pm.read(3 * pageSize, out, sizeof(out));
+    for (uint8_t b : out)
+        ASSERT_EQ(b, 0);
+    EXPECT_EQ(pm.read64(5 * pageSize + 8), 0u);
+    EXPECT_EQ(pm.read64(40 << 20), 0x1122334455667788ULL);
+}
+
+TEST(PhysMemTest, Word64AtLastWordOfPage)
+{
+    PhysMem pm(1 << 20);
+    PAddr last = 2 * pageSize - 8;
+    pm.write64(last, 0x0102030405060708ULL);
+    EXPECT_EQ(pm.read64(last), 0x0102030405060708ULL);
+    EXPECT_EQ(pm.read64(2 * pageSize), 0u); // next page untouched
+    uint8_t bytes[16];
+    pm.read(last, bytes, sizeof(bytes));
+    uint64_t lo;
+    std::memcpy(&lo, bytes, 8);
+    EXPECT_EQ(lo, 0x0102030405060708ULL);
+    for (int i = 8; i < 16; i++)
+        EXPECT_EQ(bytes[i], 0);
+}
+
+TEST(PhysMemTest, ClearAcrossThreePages)
+{
+    PhysMem pm(1 << 20);
+    std::vector<uint8_t> data(4 * pageSize, 0x5a);
+    pm.write(0, data.data(), data.size());
+    PAddr from = pageSize - 100;
+    uint64_t len = 2 * pageSize + 200; // pages 0, 1 and 2
+    pm.clear(from, len);
+    std::vector<uint8_t> out(data.size());
+    pm.read(0, out.data(), out.size());
+    for (uint64_t a = 0; a < out.size(); a++) {
+        bool cleared = a >= from && a < from + len;
+        ASSERT_EQ(out[a], cleared ? 0 : 0x5a) << "at " << a;
+    }
+    pm.clear(8 * pageSize, 3 * pageSize); // never written: stays zero
+    EXPECT_EQ(pm.read64(9 * pageSize), 0u);
+}
+
 TEST(PhysMemDeathTest, OutOfRangePanics)
 {
     PhysMem pm(1 << 20);
@@ -292,6 +353,155 @@ TEST(CacheTest, MultiLineAccessTouchesEachLine)
     Cache l1({4096, 64, 2, Cycles(2)}, nullptr, Cycles(50));
     l1.access(0x1000, 256, false);
     EXPECT_EQ(l1.misses.value(), 4u);
+}
+
+/**
+ * The division-indexed cache that Cache replaced, one line at a time:
+ * the exactness reference for the shift-indexed, inlined hit path.
+ */
+class RefCache
+{
+  public:
+    RefCache(const CacheParams &p, RefCache *n, Cycles mem_latency)
+        : params(p), next(n), memLatency(mem_latency),
+          numSets(uint32_t(p.sizeBytes / p.lineBytes / p.assoc)),
+          lines(p.sizeBytes / p.lineBytes)
+    {
+    }
+
+    Cycles
+    access(PAddr paddr, uint64_t len, bool is_write)
+    {
+        if (len == 0)
+            return Cycles(0);
+        uint64_t first = paddr / params.lineBytes;
+        uint64_t last = (paddr + len - 1) / params.lineBytes;
+        Cycles total(0);
+        for (uint64_t line = first; line <= last; line++)
+            total += accessLine(line * params.lineBytes, is_write);
+        return total;
+    }
+
+    uint64_t hits = 0, misses = 0, writebacks = 0;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        uint64_t tag = 0;
+        uint64_t lruStamp = 0;
+    };
+
+    Cycles
+    accessLine(uint64_t line_addr, bool is_write)
+    {
+        uint64_t line_num = line_addr / params.lineBytes;
+        uint64_t set_idx = line_num & (numSets - 1);
+        uint64_t tag = line_num / numSets;
+        Line *ways = &lines[set_idx * params.assoc];
+        for (uint32_t i = 0; i < params.assoc; i++) {
+            Line &l = ways[i];
+            if (l.valid && l.tag == tag) {
+                hits++;
+                l.lruStamp = ++clock;
+                l.dirty |= is_write;
+                return params.hitLatency;
+            }
+        }
+        misses++;
+        Line *victim = &ways[0];
+        for (uint32_t i = 0; i < params.assoc; i++) {
+            Line &l = ways[i];
+            if (!l.valid) {
+                victim = &l;
+                break;
+            }
+            if (l.lruStamp < victim->lruStamp)
+                victim = &l;
+        }
+        Cycles cost = params.hitLatency;
+        if (victim->valid && victim->dirty) {
+            writebacks++;
+            uint64_t victim_addr =
+                (victim->tag * numSets + set_idx) * params.lineBytes;
+            cost += next ? next->access(victim_addr, params.lineBytes, true)
+                         : memLatency;
+        }
+        cost += next ? next->access(line_addr, params.lineBytes, false)
+                     : memLatency;
+        *victim = Line{true, is_write, tag, ++clock};
+        return cost;
+    }
+
+    CacheParams params;
+    RefCache *next;
+    Cycles memLatency;
+    uint32_t numSets;
+    uint64_t clock = 0;
+    std::vector<Line> lines;
+};
+
+/**
+ * Replay one seeded random access stream through Cache and RefCache
+ * L1 -> L2 chains and require identical cycles and counters after
+ * every access.
+ */
+void
+replayAgainstReference(const CacheParams &l1p, const CacheParams &l2p,
+                       Cycles dram, uint64_t seed)
+{
+    Cache l2(l2p, nullptr, dram);
+    Cache l1(l1p, &l2, dram);
+    RefCache r2(l2p, nullptr, dram);
+    RefCache r1(l1p, &r2, dram);
+
+    Rng rng(seed);
+    // A hot 64 KiB window (L1-sized reuse) inside a 4 MiB span that
+    // overflows both L2 geometries, so hits, misses and dirty
+    // evictions all happen at both levels.
+    PAddr hot = 0x100000;
+    for (int i = 0; i < 6000; i++) {
+        if (rng.nextBounded(64) == 0)
+            hot = rng.nextBounded(4 << 20);
+        PAddr base = rng.nextBounded(4) == 0
+                         ? rng.nextBounded(4 << 20)
+                         : hot + rng.nextBounded(64 << 10);
+        uint64_t len = 1 + rng.nextBounded(4096);
+        bool is_write = rng.nextBounded(3) == 0;
+        Cycles got = l1.access(base, len, is_write);
+        Cycles want = r1.access(base, len, is_write);
+        ASSERT_EQ(got, want) << "access " << i;
+        ASSERT_EQ(l1.hits.value(), r1.hits) << "access " << i;
+        ASSERT_EQ(l1.misses.value(), r1.misses) << "access " << i;
+        ASSERT_EQ(l1.writebacks.value(), r1.writebacks) << "access " << i;
+        ASSERT_EQ(l2.hits.value(), r2.hits) << "access " << i;
+        ASSERT_EQ(l2.misses.value(), r2.misses) << "access " << i;
+        ASSERT_EQ(l2.writebacks.value(), r2.writebacks) << "access " << i;
+    }
+    // The stream must have exercised every path it claims to check.
+    EXPECT_GT(l1.hits.value(), 0u);
+    EXPECT_GT(l1.writebacks.value(), 0u);
+    EXPECT_GT(l2.hits.value(), 0u);
+    EXPECT_GT(l2.writebacks.value(), 0u);
+}
+
+// Geometries of hw::rocketU500 (L1D 32 KiB 4-way, L2 1 MiB 16-way) and
+// hw::lowRiscKc705 (same L1D, L2 512 KiB 8-way).
+const CacheParams rocketL1d{32 * 1024, 64, 4, Cycles(2)};
+const CacheParams rocketL2{1024 * 1024, 64, 16, Cycles(14)};
+const CacheParams kc705L2{512 * 1024, 64, 8, Cycles(16)};
+
+TEST(CachePropertyTest, RocketChainMatchesDivisionReference)
+{
+    for (uint64_t seed : {1, 2, 3})
+        replayAgainstReference(rocketL1d, rocketL2, Cycles(60), seed);
+}
+
+TEST(CachePropertyTest, Kc705ChainMatchesDivisionReference)
+{
+    for (uint64_t seed : {4, 5, 6})
+        replayAgainstReference(rocketL1d, kc705L2, Cycles(60), seed);
 }
 
 class MemSystemTest : public ::testing::Test

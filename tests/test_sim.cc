@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for the sim substrate: types, RNG, Zipfian, statistics.
+ * Unit tests for the sim substrate: types, RNG, Zipfian, statistics,
+ * crc32.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "sim/crc.hh"
 #include "sim/phase.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -338,6 +342,67 @@ TEST(PhaseStatsTest, PhaseNamesCoverTheTaxonomy)
     for (uint32_t i = 0; i < phaseCount; i++)
         names.insert(phaseName(Phase(i)));
     EXPECT_EQ(names.size(), phaseCount); // all distinct
+}
+
+/** The bytewise table loop crc32 replaced: the exactness reference. */
+uint32_t
+refCrc32(const uint8_t *p, size_t len, uint32_t seed = 0)
+{
+    static const auto table = [] {
+        std::array<uint32_t, 256> t{};
+        for (uint32_t i = 0; i < 256; i++) {
+            uint32_t c = i;
+            for (int k = 0; k < 8; k++)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    uint32_t c = seed ^ 0xffffffffu;
+    for (size_t i = 0; i < len; i++)
+        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment)
+{
+    Rng rng(0xc3c);
+    std::vector<uint8_t> buf(8 + 68);
+    for (auto &b : buf)
+        b = uint8_t(rng.next());
+    for (size_t align = 0; align < 8; align++) {
+        for (size_t len = 0; len <= 67; len++) {
+            const uint8_t *p = buf.data() + align;
+            ASSERT_EQ(crc32(p, len), refCrc32(p, len))
+                << "align " << align << " len " << len;
+            ASSERT_EQ(crc32(p, len, 0x1234567u),
+                      refCrc32(p, len, 0x1234567u))
+                << "seeded, align " << align << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32Test, ChainedSeedEqualsConcatenation)
+{
+    Rng rng(0xc4a1);
+    std::vector<uint8_t> buf(4096 + 37);
+    for (auto &b : buf)
+        b = uint8_t(rng.next());
+    EXPECT_EQ(crc32(buf.data(), buf.size()),
+              refCrc32(buf.data(), buf.size()));
+    for (size_t split : {size_t(0), size_t(1), size_t(7), size_t(8),
+                         size_t(13), size_t(4096), buf.size()}) {
+        uint32_t a = crc32(buf.data(), split);
+        EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, a),
+                  crc32(buf.data(), buf.size()))
+            << "split " << split;
+    }
 }
 
 } // namespace
