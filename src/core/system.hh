@@ -11,9 +11,8 @@
 
 #include <memory>
 
-#include "core/transport_sel4.hh"
+#include "core/transport_ipc.hh"
 #include "core/transport_xpc.hh"
-#include "core/transport_zircon.hh"
 #include "core/xpc_runtime.hh"
 #include "hw/machine.hh"
 

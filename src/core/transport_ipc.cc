@@ -1,4 +1,4 @@
-#include "transport_zircon.hh"
+#include "transport_ipc.hh"
 
 #include <cstring>
 #include <vector>
@@ -9,11 +9,13 @@ namespace xpc::core {
 
 namespace {
 
-/** ServerApi adapter over a ZirconServerCall. */
-class ZirconServerApi : public ServerApi
+/** ServerApi adapter over a kernel's in-progress server call. */
+template <typename Kern>
+class KernelServerApi : public ServerApi
 {
   public:
-    ZirconServerApi(ZirconTransport &tr, kernel::ZirconServerCall &call)
+    KernelServerApi(KernelIpcTransport<Kern> &tr,
+                    typename Kern::ServerCall &call)
         : transport(tr), call(call)
     {}
 
@@ -53,6 +55,9 @@ class ZirconServerApi : public ServerApi
     {
         if (req_len == 0)
             req_len = len;
+        // Baseline handover: stage the sub-message into this server's
+        // own client buffer for the next hop (one copy), call, then
+        // copy the nested reply back in place (another copy).
         kernel::Thread &me = call.serverThread();
         hw::Core &c = call.core();
         std::vector<uint8_t> stage(len);
@@ -78,6 +83,7 @@ class ZirconServerApi : public ServerApi
     void
     replyFromRequest(uint64_t off, uint64_t len) override
     {
+        // The reply must materialize in the reply channel: a copy.
         std::vector<uint8_t> stage(len);
         call.readRequest(off, stage.data(), len);
         call.writeReply(off, stage.data(), len);
@@ -111,9 +117,8 @@ class ZirconServerApi : public ServerApi
     }
 
   private:
-    /** Message accesses poison the ZirconServerCall; surface the
-     *  first failure here too so dispatchHandler sees aborted
-     *  fetches. */
+    /** Message accesses poison the server call; surface the first
+     *  failure here too so dispatchHandler sees aborted fetches. */
     void
     mirrorFailure()
     {
@@ -122,49 +127,73 @@ class ZirconServerApi : public ServerApi
             failStatus = call.failStatus;
     }
 
-    ZirconTransport &transport;
-    kernel::ZirconServerCall &call;
+    KernelIpcTransport<Kern> &transport;
+    typename Kern::ServerCall &call;
 };
 
 } // namespace
 
-ZirconTransport::ZirconTransport(kernel::ZirconKernel &kernel)
-    : kern(kernel)
+template <typename Kern>
+KernelIpcTransport<Kern>::KernelIpcTransport(Kern &kernel,
+                                             kernel::LongMsgMode mode)
+    : kern(kernel), longMode(mode)
 {
 }
 
+template <typename Kern>
+const char *
+KernelIpcTransport<Kern>::name() const
+{
+    if constexpr (isSel4)
+        return longMode == kernel::LongMsgMode::OneCopy ? "sel4-1copy"
+                                                        : "sel4-2copy";
+    else
+        return "zircon";
+}
+
+template <typename Kern>
 ServiceId
-ZirconTransport::registerService(const ServiceDesc &desc,
-                                 ServiceHandler handler)
+KernelIpcTransport<Kern>::registerService(const ServiceDesc &desc,
+                                          ServiceHandler handler)
 {
     panic_if(!desc.handlerThread, "service needs a handler thread");
     ServiceId id = recordDesc(desc);
-    uint64_t ch = kern.createChannel(
-        *desc.handlerThread,
-        [this, handler = std::move(handler)](
-            kernel::ZirconServerCall &call) {
-            ZirconServerApi api(*this, call);
-            dispatchHandler(api, handler);
-            if (api.failStatus != TransportStatus::Ok)
-                call.fail(api.failStatus);
-        });
-    channelIds.push_back(ch);
+    auto serve = [this, handler = std::move(handler)](
+                     typename Kern::ServerCall &call) {
+        KernelServerApi<Kern> api(*this, call);
+        dispatchHandler(api, handler);
+        if (api.failStatus != TransportStatus::Ok)
+            call.fail(api.failStatus);
+    };
+    if constexpr (isSel4)
+        targets.push_back(
+            kern.createEndpoint(*desc.handlerThread, std::move(serve)));
+    else
+        targets.push_back(
+            kern.createChannel(*desc.handlerThread, std::move(serve)));
     return id;
 }
 
+template <typename Kern>
 void
-ZirconTransport::connect(kernel::Thread &client, ServiceId svc)
+KernelIpcTransport<Kern>::connect(kernel::Thread &client, ServiceId svc)
 {
-    // Zircon capabilities are handles; possession of the channel id
-    // is the capability in this model. Tenancy still runs the grant
-    // gate so cross-tenant handouts are counted (and refused under
-    // enforcement) - but the real barrier is the call-side gate,
-    // since a channel id can be guessed.
-    (void)gateGrant(client, svc);
+    // seL4 grants the client an endpoint cap. A Zircon channel id is
+    // the handle itself, so there is nothing to grant; tenancy still
+    // runs the grant gate so cross-tenant handouts are counted (and
+    // refused under enforcement) - but the real barrier there is the
+    // call-side gate, since a channel id can be guessed.
+    bool granted = gateGrant(client, svc);
+    if constexpr (isSel4) {
+        if (granted)
+            kern.grantEndpointCap(client, targets.at(svc));
+    }
 }
 
-ZirconTransport::Conn &
-ZirconTransport::connFor(kernel::Thread &client, uint64_t min_len)
+template <typename Kern>
+typename KernelIpcTransport<Kern>::Conn &
+KernelIpcTransport<Kern>::connFor(kernel::Thread &client,
+                                  uint64_t min_len)
 {
     Conn &conn = conns[client.id()];
     if (conn.len >= min_len && conn.reqVa != 0)
@@ -181,9 +210,10 @@ ZirconTransport::connFor(kernel::Thread &client, uint64_t min_len)
     return conn;
 }
 
+template <typename Kern>
 VAddr
-ZirconTransport::requestArea(hw::Core &core, kernel::Thread &client,
-                             uint64_t len)
+KernelIpcTransport<Kern>::requestArea(hw::Core &core,
+                                      kernel::Thread &client, uint64_t len)
 {
     (void)core;
     // Sealed calls append the envelope trailer past the staged
@@ -192,10 +222,12 @@ ZirconTransport::requestArea(hw::Core &core, kernel::Thread &client,
     return connFor(client, len + envelopeHeadroom()).reqVa;
 }
 
+template <typename Kern>
 bool
-ZirconTransport::readStagedRequest(hw::Core &core,
-                                   kernel::Thread &client, uint64_t off,
-                                   void *dst, uint64_t len)
+KernelIpcTransport<Kern>::readStagedRequest(hw::Core &core,
+                                            kernel::Thread &client,
+                                            uint64_t off, void *dst,
+                                            uint64_t len)
 {
     Conn &conn = connFor(client, off + len);
     auto res = kern.userRead(core, *client.process(), conn.reqVa + off,
@@ -208,10 +240,11 @@ ZirconTransport::readStagedRequest(hw::Core &core,
     return res.ok;
 }
 
+template <typename Kern>
 bool
-ZirconTransport::clientWrite(hw::Core &core, kernel::Thread &client,
-                             uint64_t off, const void *src,
-                             uint64_t len)
+KernelIpcTransport<Kern>::clientWrite(hw::Core &core,
+                                      kernel::Thread &client, uint64_t off,
+                                      const void *src, uint64_t len)
 {
     Conn &conn = connFor(client, off + len);
     auto res = kern.userWrite(core, *client.process(),
@@ -221,9 +254,11 @@ ZirconTransport::clientWrite(hw::Core &core, kernel::Thread &client,
     return res.ok;
 }
 
+template <typename Kern>
 bool
-ZirconTransport::clientRead(hw::Core &core, kernel::Thread &client,
-                            uint64_t off, void *dst, uint64_t len)
+KernelIpcTransport<Kern>::clientRead(hw::Core &core,
+                                     kernel::Thread &client, uint64_t off,
+                                     void *dst, uint64_t len)
 {
     Conn &conn = connFor(client, off + len);
     auto res = kern.userRead(core, *client.process(),
@@ -236,10 +271,11 @@ ZirconTransport::clientRead(hw::Core &core, kernel::Thread &client,
     return res.ok;
 }
 
+template <typename Kern>
 CallResult
-ZirconTransport::call(hw::Core &core, kernel::Thread &client,
-                      ServiceId svc, uint64_t opcode, uint64_t req_len,
-                      uint64_t reply_cap)
+KernelIpcTransport<Kern>::call(hw::Core &core, kernel::Thread &client,
+                               ServiceId svc, uint64_t opcode,
+                               uint64_t req_len, uint64_t reply_cap)
 {
     if (!gateCall(client, svc))
         return deniedCall();
@@ -261,9 +297,14 @@ ZirconTransport::call(hw::Core &core, kernel::Thread &client,
         }
         sealPending = true;
     }
-    auto out = kern.call(core, client, channelIds.at(svc), opcode,
-                         conn.reqVa, wire_len, conn.replyVa,
-                         std::min(wire_cap, conn.len));
+    kernel::CallOutcome out;
+    uint64_t reply_room = std::min(wire_cap, conn.len);
+    if constexpr (isSel4)
+        out = kern.call(core, client, targets.at(svc), opcode, conn.reqVa,
+                        wire_len, conn.replyVa, reply_room, longMode);
+    else
+        out = kern.call(core, client, targets.at(svc), opcode, conn.reqVa,
+                        wire_len, conn.replyVa, reply_room);
     sealPending = false;
     CallResult res;
     res.ok = out.ok;
@@ -276,5 +317,8 @@ ZirconTransport::call(hw::Core &core, kernel::Thread &client,
         res = verifySealedReply(core, client, seq, res);
     return countCall(res);
 }
+
+template class KernelIpcTransport<kernel::Sel4Kernel>;
+template class KernelIpcTransport<kernel::ZirconKernel>;
 
 } // namespace xpc::core

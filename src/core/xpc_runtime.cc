@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "kernel/call_frame.hh"
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -286,56 +287,6 @@ XpcRuntime::callCurrent(hw::Core &core, uint64_t entry_id,
                   caller ? caller->tenant : kernel::defaultTenant);
 }
 
-namespace {
-
-/**
- * Closes the outer "xpc.call" span (and the causal flow arc, for the
- * top-level call of a chain) on *every* exit path of doCall - error
- * unwinds, timeouts and crashed servers included - so the profiler
- * always sees a well-bracketed request.
- */
-struct CallSpanCloser
-{
-    trace::Tracer &tr;
-    hw::Core &core;
-    uint32_t lane;
-    uint64_t flowId;
-    bool top;
-    bool active;
-    /** Filled by the time doCall returns; stamped as the request's
-     *  terminal outcome (critpath.py --top groups requests by it). */
-    const XpcCallOutcome *out = nullptr;
-    /** Caller's tenant; stamped (non-default only, so single-tenant
-     *  traces are unchanged) for critpath.py's per-tenant column. */
-    kernel::TenantId tenant = kernel::defaultTenant;
-    /** Caller's criticality tier; stamped (non-default only, so
-     *  untiered traces are unchanged) for the brownout timelines. */
-    req::Criticality tier = req::Criticality::Default;
-
-    ~CallSpanCloser()
-    {
-        if (top && out) {
-            tr.instantNow("xpc", "outcome", lane,
-                          kernel::callStatusName(out->status));
-            if (tenant != kernel::defaultTenant)
-                tr.instantNow("xpc", "tenant", lane,
-                              std::to_string(tenant));
-            if (tier != req::Criticality::Default)
-                tr.instantNow("xpc", "tier", lane,
-                              req::criticalityName(tier));
-        }
-        if (!active)
-            return;
-        uint64_t now = core.now().value();
-        if (top)
-            tr.flow(trace::EventKind::FlowEnd, "xpc", "req", flowId,
-                    now, lane);
-        tr.end("xpc", "call", now, lane);
-    }
-};
-
-} // namespace
-
 XpcCallOutcome
 XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
                    uint64_t req_len, uint32_t caller_lane,
@@ -346,20 +297,13 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     XpcCallOutcome out;
     calls.inc();
 
-    // Bind the call to its request chain: the outermost call mints a
-    // fresh id, nested handover calls inherit the active one. Every
-    // trace event and memory access below is stamped with it.
-    req::RequestScope rscope;
-
-    // Deadline: the top-level call mints an absolute one from the
-    // configured budget; nested hops inherit the enclosing deadline
-    // (the scope can only tighten, never extend it). 0 = none.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && opts.deadlineCycles.value() != 0
-            ? (core.now() + opts.deadlineCycles).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
+    // Bind the call to its request chain and mint its deadline from
+    // the configured budget. Every trace event and memory access
+    // below is stamped with the request.
+    kernel::CallFrame frame("xpc", "call", core, caller_lane,
+                            caller_tenant, opts.deadlineCycles,
+                            out.status);
+    const uint64_t deadline = frame.deadline();
 
     // Fault injection: one lookup per call decides what (if anything)
     // goes wrong, and at which Table-1 phase it strikes.
@@ -431,23 +375,9 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     }
 
     auto &tr = trace::Tracer::global();
-    Cycles start = core.now();
-    if (tr.enabled()) {
-        tr.begin("xpc", "call", start.value(), caller_lane);
-        // The flow arc: starts at the chain's first call, steps
-        // through each nested hop, closes where the chain returns.
-        tr.flow(rscope.topLevel() ? trace::EventKind::FlowStart
-                                  : trace::EventKind::FlowStep,
-                "xpc", "req", rscope.id(), start.value(), caller_lane);
-    }
-    CallSpanCloser closer{tr,          core,
-                          caller_lane, rscope.id(),
-                          rscope.topLevel(), tr.enabled(),
-                          &out,        caller_tenant,
-                          req::RequestContext::global()
-                              .currentCriticality()};
+    Cycles start = frame.open();
 
-    if (deadline != 0 && core.now().value() >= deadline) {
+    if (frame.expired(core)) {
         // Already out of budget (an upstream hop burned it all):
         // reject before issuing the xcall at all.
         deadlineExpired.inc();
@@ -467,10 +397,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         xc = engine().xcall(core, entry_id, entry_id);
     }
     Cycles xcall_done = core.now();
-    if (tr.enabled()) {
-        tr.begin("xpc", "xcall", start.value(), caller_lane);
-        tr.end("xpc", "xcall", xcall_done.value(), caller_lane);
-    }
+    frame.phaseSpan("xcall", start, xcall_done, caller_lane);
     if (xc.exc != engine::XpcException::None) {
         out.exc = xc.exc;
         if (killed_pre_xcall)
@@ -614,21 +541,13 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
     out.handlerCycles = core.now() - h0;
     if (inj)
         inj->clearHandoffMutation();
-    if (tr.enabled()) {
-        // The migrating-thread model: the handler ran on the caller's
-        // core, but it is *server* work - put the span on the server
-        // thread's lane and step the flow arc through it, so Perfetto
-        // renders the hop from client to server.
-        uint32_t hlane = req::threadLane(
-            uint32_t(state.handlerThread->id()));
-        tr.begin("xpc", "handler", h0.value(), hlane);
-        tr.flow(trace::EventKind::FlowStep, "xpc", "req", rscope.id(),
-                h0.value(), hlane);
-        tr.end("xpc", "handler", core.now().value(), hlane);
-    }
+    // The migrating-thread model: the handler ran on the caller's
+    // core, but it is *server* work - its span goes on the server
+    // thread's lane.
+    frame.handlerSpan(h0, core.now(),
+                      req::threadLane(uint32_t(state.handlerThread->id())));
 
-    if (!server_died && deadline != 0 &&
-        core.now().value() >= deadline) {
+    if (!server_died && frame.expired(core)) {
         // The deadline expired while the callee owned the core. The
         // caller gives up *now*: paper-faithful cleanup is the 6.1
         // timeout unwind plus 4.4 segment revocation, so a server
@@ -733,10 +652,7 @@ XpcRuntime::doCall(hw::Core &core, uint64_t entry_id, uint64_t opcode,
         req::PhaseScope phase(uint32_t(Phase::Xret));
         ret = engine().xret(core);
     }
-    if (tr.enabled()) {
-        tr.begin("xpc", "xret", xret0.value(), caller_lane);
-        tr.end("xpc", "xret", core.now().value(), caller_lane);
-    }
+    frame.phaseSpan("xret", xret0, core.now(), caller_lane);
     if (ret.exc != engine::XpcException::None) {
         // The hardware refused the return: the record under us is
         // corrupt or the seg-reg no longer matches it. The kernel

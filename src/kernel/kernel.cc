@@ -1,5 +1,6 @@
 #include "kernel.hh"
 
+#include "sim/fault_injector.hh"
 #include "sim/logging.hh"
 
 namespace xpc::kernel {
@@ -127,6 +128,42 @@ Kernel::userWrite(hw::Core &core, Process &process, VAddr va,
                                 len);
     core.spend(res.cycles);
     return res;
+}
+
+const FaultEvent *
+Kernel::drawCallFault()
+{
+    FaultInjector *inj = mach.faultInjector();
+    if (!inj || !inj->enabled)
+        return nullptr;
+    const FaultEvent *fault = inj->eventAt(inj->beginCall());
+    if (fault && fault->op == FaultOp::CopyFault) {
+        inj->armMemFault();
+        inj->recordFired(*fault);
+    }
+    return fault;
+}
+
+bool
+Kernel::handoffStrikes()
+{
+    FaultInjector *inj = mach.faultInjector();
+    return inj && inj->noteServerRead();
+}
+
+void
+Kernel::hostileRewrite(hw::Core &core, Process &process, VAddr va,
+                       uint64_t len)
+{
+    if (!handoffStrikes())
+        return;
+    uint64_t n = len < 8 ? len : 8;
+    uint8_t tmp[8];
+    if (!userRead(core, process, va, tmp, n).ok)
+        return;
+    for (uint64_t i = 0; i < n; i++)
+        tmp[i] ^= 0xA5;
+    userWrite(core, process, va, tmp, n);
 }
 
 const char *

@@ -16,6 +16,10 @@
 #include "kernel/address_space.hh"
 #include "kernel/thread.hh"
 
+namespace xpc {
+struct FaultEvent;
+}
+
 namespace xpc::kernel {
 
 /**
@@ -61,6 +65,21 @@ enum class CallStatus
 };
 
 const char *callStatusName(CallStatus status);
+
+/** Outcome of a synchronous kernel IPC: an seL4 endpoint call or a
+ *  Zircon channel write + wait + read. */
+struct CallOutcome
+{
+    bool ok = false;
+    CallStatus status = CallStatus::Ok;
+    uint64_t replyLen = 0;
+    /** Cycles from invocation until the server saw the request. */
+    Cycles oneWay;
+    /** Full round-trip cycles on the client core. */
+    Cycles roundTrip;
+    /** Cycles spent inside the server handler (not IPC overhead). */
+    Cycles handlerCycles;
+};
 
 /** A process: one address space plus one or more threads. */
 class Process
@@ -162,6 +181,28 @@ class Kernel
     StatGroup stats{"kernel"};
 
   protected:
+    /// @name Fault-injection hooks of the kernel IPC paths.
+    /// @{
+    /**
+     * Draw the scheduled fault of the call now starting (nullptr =
+     * none). A copy fault is armed here as a one-shot memory fault
+     * that the next copy on the call path consumes; the other kinds
+     * strike later, at their phase.
+     */
+    const FaultEvent *drawCallFault();
+    /** A handler fetched request bytes: true when the armed
+     *  MutateAfterHandoff strikes now (the caller must mutate). */
+    bool handoffStrikes();
+    /**
+     * MutateAfterHandoff on a buffer: once it strikes, the hostile
+     * peer XORs 0xA5 into the (up to 8) bytes at @p va the handler
+     * just fetched, in the source buffer, so a second fetch of the
+     * same field disagrees with the first (the TOCTOU double fetch).
+     */
+    void hostileRewrite(hw::Core &core, Process &process, VAddr va,
+                        uint64_t len);
+    /// @}
+
     hw::Machine &mach;
     std::vector<std::unique_ptr<Process>> processes;
     std::vector<std::unique_ptr<Thread>> threads;

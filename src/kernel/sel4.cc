@@ -2,57 +2,11 @@
 
 #include <cstring>
 
+#include "kernel/call_frame.hh"
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace xpc::kernel {
-
-namespace {
-
-/** Closes the outer "sel4.call" span (and, for top-level calls, the
- *  causal flow arc) on every exit path, abort unwinds included. */
-struct Sel4SpanCloser
-{
-    trace::Tracer &tr;
-    hw::Core &core;
-    uint32_t lane;
-    uint64_t flowId;
-    bool top;
-    bool active;
-    /** The request's terminal outcome, stamped as an instant for
-     *  critpath.py's --top outcome column. */
-    const Sel4CallOutcome *out = nullptr;
-    /** Caller's tenant; stamped (non-default only, so single-tenant
-     *  traces are unchanged) for critpath.py's per-tenant column. */
-    TenantId tenant = defaultTenant;
-    /** Caller's criticality tier; stamped (non-default only, so
-     *  untiered traces are unchanged) for the brownout timelines. */
-    req::Criticality tier = req::Criticality::Default;
-
-    ~Sel4SpanCloser()
-    {
-        if (top && out) {
-            tr.instantNow("sel4", "outcome", lane,
-                          callStatusName(out->status));
-            if (tenant != defaultTenant)
-                tr.instantNow("sel4", "tenant", lane,
-                              std::to_string(tenant));
-            if (tier != req::Criticality::Default)
-                tr.instantNow("sel4", "tier", lane,
-                              req::criticalityName(tier));
-        }
-        if (!active)
-            return;
-        uint64_t now = core.now().value();
-        if (top)
-            tr.flow(trace::EventKind::FlowEnd, "sel4", "req", flowId,
-                    now, lane);
-        tr.end("sel4", "call", now, lane);
-    }
-};
-
-} // namespace
 
 Sel4Kernel::Sel4Kernel(hw::Machine &machine) : Kernel(machine)
 {
@@ -125,16 +79,16 @@ Sel4ServerCall::readRequest(uint64_t off, void *dst, uint64_t len)
     switch (mode) {
       case Mode::Registers:
         std::memcpy(dst, regs + off, len);
-        hostileRewrite(off, len);
+        // MutateAfterHandoff: the peer rewrites the field the handler
+        // just fetched in the source representation, the registers.
+        if (owner.handoffStrikes())
+            for (uint64_t i = 0; i < len && i < 8; i++)
+                regs[off + i] ^= 0xA5;
         return;
       case Mode::IpcBuffer:
       case Mode::Shared: {
-        VAddr src = (mode == Mode::Shared &&
-                     longMode == LongMsgMode::OneCopy)
-                        ? sharedVa
-                        : serverBufVa;
-        auto res = owner.userRead(coreRef, *server.process(), src + off,
-                                  dst, len);
+        auto res = owner.userRead(coreRef, *server.process(),
+                                  reqBufVa() + off, dst, len);
         if (!res.ok) {
             // Deterministic garbage for the handler; the kernel
             // aborts the reply once the handler returns.
@@ -142,39 +96,11 @@ Sel4ServerCall::readRequest(uint64_t off, void *dst, uint64_t len)
             fail(CallStatus::CopyFault);
             return;
         }
-        hostileRewrite(off, len);
+        owner.hostileRewrite(coreRef, *server.process(),
+                             reqBufVa() + off, len);
         return;
       }
     }
-}
-
-void
-Sel4ServerCall::hostileRewrite(uint64_t off, uint64_t len)
-{
-    FaultInjector *inj = owner.machine().faultInjector();
-    if (!inj || !inj->noteServerRead())
-        return;
-    // The peer rewrites the field the handler just fetched, in the
-    // source representation, so a second fetch of the same bytes
-    // disagrees with the first (the TOCTOU double-fetch hazard).
-    uint64_t n = len < 8 ? len : 8;
-    if (mode == Mode::Registers) {
-        for (uint64_t i = 0; i < n; i++)
-            regs[off + i] ^= 0xA5;
-        return;
-    }
-    VAddr src =
-        (mode == Mode::Shared && longMode == LongMsgMode::OneCopy)
-            ? sharedVa
-            : serverBufVa;
-    uint8_t tmp[8];
-    auto res = owner.userRead(coreRef, *server.process(), src + off,
-                              tmp, n);
-    if (!res.ok)
-        return;
-    for (uint64_t i = 0; i < n; i++)
-        tmp[i] ^= 0xA5;
-    owner.userWrite(coreRef, *server.process(), src + off, tmp, n);
 }
 
 void
@@ -190,12 +116,8 @@ Sel4ServerCall::writeRequest(uint64_t off, const void *src,
         return;
       case Mode::IpcBuffer:
       case Mode::Shared: {
-        VAddr dst = (mode == Mode::Shared &&
-                     longMode == LongMsgMode::OneCopy)
-                        ? sharedVa
-                        : serverBufVa;
         auto res = owner.userWrite(coreRef, *server.process(),
-                                   dst + off, src, len);
+                                   reqBufVa() + off, src, len);
         if (!res.ok)
             fail(CallStatus::CopyFault);
         return;
@@ -258,12 +180,12 @@ Sel4ServerCall::readReply(uint64_t off, void *dst, uint64_t len)
     }
 }
 
-Sel4CallOutcome
+CallOutcome
 Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
                  uint64_t opcode, VAddr req_va, uint64_t req_len,
                  VAddr reply_va, uint64_t reply_cap, LongMsgMode mode)
 {
-    Sel4CallOutcome out;
+    CallOutcome out;
     panic_if(ep_id >= endpoints.size(), "no such endpoint %lu",
              (unsigned long)ep_id);
     Endpoint &ep = endpoints[ep_id];
@@ -278,44 +200,15 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
     // fault that the next copy on this call path consumes; stall and
     // slowdown faults strike later, around the handler.
     FaultInjector *inj = mach.faultInjector();
-    const FaultEvent *fault = nullptr;
-    if (inj && inj->enabled) {
-        uint64_t seq = inj->beginCall();
-        fault = inj->eventAt(seq);
-        if (fault && fault->op == FaultOp::CopyFault) {
-            inj->armMemFault();
-            inj->recordFired(*fault);
-        }
-    }
+    const FaultEvent *fault = drawCallFault();
 
-    // One seL4 IPC is one hop of a request chain: mint (or inherit)
-    // the request id and bracket the whole call on the client's lane.
-    req::RequestScope rscope;
-
-    // Deadline: minted from the kernel's per-call budget at the top
-    // of a chain, inherited (absolute) by every nested hop.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && callDeadline.value() != 0
-            ? (core.now() + callDeadline).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
-    auto &tr = trace::Tracer::global();
+    // One seL4 IPC is one hop of a request chain, bracketed on the
+    // client's lane.
     uint32_t clane = req::threadLane(uint32_t(client.id()));
-
-    Cycles start = core.now();
-    if (tr.enabled()) {
-        tr.begin("sel4", "call", start.value(), clane);
-        tr.flow(rscope.topLevel() ? trace::EventKind::FlowStart
-                                  : trace::EventKind::FlowStep,
-                "sel4", "req", rscope.id(), start.value(), clane);
-    }
-    Sel4SpanCloser closer{tr,          core,
-                          clane,       rscope.id(),
-                          rscope.topLevel(), tr.enabled(),
-                          &out,        client.tenant,
-                          req::RequestContext::global()
-                              .currentCriticality()};
+    CallFrame frame("sel4", "call", core, clane, client.tenant,
+                    callDeadline, out.status);
+    const uint64_t deadline = frame.deadline();
+    Cycles start = frame.open();
 
     // Abandon the call: if the kernel already switched to the server,
     // charge the bare return IPC before surfacing the error.
@@ -340,7 +233,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         return out;
     };
 
-    if (deadline != 0 && core.now().value() >= deadline) {
+    if (frame.expired(core)) {
         // Out of budget before the syscall even traps: an upstream
         // hop burned the whole deadline. Reject instead of calling.
         deadlineExpired.inc();
@@ -410,10 +303,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         core.spend(params.trapConst);
     }
     phases.trap = core.now() - trap_start;
-    if (tr.enabled()) {
-        tr.begin("sel4", "trap", trap_start.value(), core.id());
-        tr.end("sel4", "trap", core.now().value(), core.id());
-    }
+    frame.phaseSpan("trap", trap_start, core.now(), core.id());
 
     // --- Phase 2: IPC logic (capability fetch + checks). ----------
     t0 = core.now();
@@ -433,10 +323,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         }
     }
     phases.logic = core.now() - t0;
-    if (tr.enabled()) {
-        tr.begin("sel4", "ipc_logic", t0.value(), core.id());
-        tr.end("sel4", "ipc_logic", core.now().value(), core.id());
-    }
+    frame.phaseSpan("ipc_logic", t0, core.now(), core.id());
 
     // Medium messages: the kernel copies through the IPC buffer
     // while still in the kernel (slow path).
@@ -476,10 +363,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         setCurrent(core.id(), ep.server);
     }
     phases.processSwitch = core.now() - t0;
-    if (tr.enabled()) {
-        tr.begin("sel4", "process_switch", t0.value(), core.id());
-        tr.end("sel4", "process_switch", core.now().value(), core.id());
-    }
+    frame.phaseSpan("process_switch", t0, core.now(), core.id());
 
     // --- Phase 4: restore the server's context, back to user. -----
     t0 = core.now();
@@ -490,10 +374,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         trapExit(core);
     }
     phases.restore = core.now() - t0;
-    if (tr.enabled()) {
-        tr.begin("sel4", "restore", t0.value(), core.id());
-        tr.end("sel4", "restore", core.now().value(), core.id());
-    }
+    frame.phaseSpan("restore", t0, core.now(), core.id());
 
     // Two-copy discipline: in user mode, the server copies the
     // message to private memory before using it.
@@ -518,12 +399,9 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
         // Include the client-side shared-buffer fill.
         phases.transfer += trap_start - start;
     }
-    if (tr.enabled() && phases.transfer.value() > 0) {
-        tr.begin("sel4", "transfer", t0.value(), handler_core.id());
-        tr.end("sel4", "transfer",
-               t0.value() + phases.transfer.value(),
-               handler_core.id());
-    }
+    if (phases.transfer.value() > 0)
+        frame.phaseSpan("transfer", t0, t0 + phases.transfer,
+                        handler_core.id());
 
     out.oneWay = (handler_core.now() > core.now() ? handler_core.now()
                                                   : core.now()) -
@@ -543,11 +421,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
             if (call_ctx.mode == Sel4ServerCall::Mode::Registers) {
                 call_ctx.regs[at] ^= flip;
             } else {
-                VAddr va =
-                    (call_ctx.mode == Sel4ServerCall::Mode::Shared &&
-                     mode == LongMsgMode::OneCopy)
-                        ? call_ctx.sharedVa
-                        : call_ctx.serverBufVa;
+                VAddr va = call_ctx.reqBufVa();
                 uint8_t b = 0;
                 if (userRead(core, *ep.server->process(), va + at, &b,
                              1)
@@ -614,13 +488,7 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
             run_handler(handler_core, remote);
         }
         out.handlerCycles = handler_core.now() - h0;
-        if (tr.enabled()) {
-            tr.begin("sel4", "handler", h0.value(), hlane);
-            tr.flow(trace::EventKind::FlowStep, "sel4", "req",
-                    rscope.id(), h0.value(), hlane);
-            tr.end("sel4", "handler", handler_core.now().value(),
-                   hlane);
-        }
+        frame.handlerSpan(h0, handler_core.now(), hlane);
         call_ctx.replyLen = remote.replyLen;
         call_ctx.replyInBuffer = remote.replyInBuffer;
         call_ctx.failStatus = remote.failStatus;
@@ -636,24 +504,20 @@ Sel4Kernel::call(hw::Core &core, Thread &client, uint64_t ep_id,
             run_handler(core, call_ctx);
         }
         out.handlerCycles = core.now() - h0;
-        if (tr.enabled()) {
-            tr.begin("sel4", "handler", h0.value(), hlane);
-            tr.flow(trace::EventKind::FlowStep, "sel4", "req",
-                    rscope.id(), h0.value(), hlane);
-            tr.end("sel4", "handler", core.now().value(), hlane);
-        }
+        frame.handlerSpan(h0, core.now(), hlane);
     }
 
     if (inj)
         inj->clearHandoffMutation();
 
-    if (deadline != 0 && core.now().value() >= deadline) {
+    if (frame.expired(core)) {
         // The deadline expired while the server held the request
         // (stalled, slow, or genuinely long handler). The kernel
         // unwinds back to the client and discards whatever partial
         // reply exists - the caller already gave up on it.
         deadlineExpired.inc();
-        tr.instantNow("sel4", "deadline_expired", clane);
+        trace::Tracer::global().instantNow("sel4", "deadline_expired",
+                                           clane);
         return abortCall(CallStatus::DeadlineExpired);
     }
 

@@ -97,7 +97,6 @@ class Sel4ServerCall
     Thread &serverThread() { return server; }
     /** The calling thread (the kernel knows its IPC partner). */
     Thread *callerThread() { return client; }
-    Sel4Kernel &kernel() { return owner; }
 
     /**
      * Mark the whole invocation failed (a nested call the handler
@@ -115,10 +114,6 @@ class Sel4ServerCall
     Sel4ServerCall(Sel4Kernel &k, hw::Core &c, Thread &s)
         : owner(k), coreRef(c), server(s)
     {}
-
-    /** MutateAfterHandoff: the hostile peer rewrites the bytes the
-     *  handler just fetched, in the *source* representation. */
-    void hostileRewrite(uint64_t off, uint64_t len);
 
     Sel4Kernel &owner;
     hw::Core &coreRef;
@@ -150,27 +145,24 @@ class Sel4ServerCall
     {
         return replySharedVa ? replySharedVa : serverBufVa;
     }
-};
 
-/** Outcome of a synchronous call. */
-struct Sel4CallOutcome
-{
-    bool ok = false;
-    CallStatus status = CallStatus::Ok;
-    uint64_t replyLen = 0;
-    /** Cycles from invocation until the server saw the request. */
-    Cycles oneWay;
-    /** Full round-trip cycles on the client core. */
-    Cycles roundTrip;
-    /** Cycles spent inside the server handler (not IPC overhead). */
-    Cycles handlerCycles;
+    /** Server VA of the request bytes in a buffer mode: one-copy
+     *  handlers work in the shared window itself. */
+    VAddr
+    reqBufVa() const
+    {
+        return mode == Mode::Shared && longMode == LongMsgMode::OneCopy
+                   ? sharedVa
+                   : serverBufVa;
+    }
 };
 
 /** seL4-like microkernel personality. */
 class Sel4Kernel : public Kernel
 {
   public:
-    using Handler = std::function<void(Sel4ServerCall &)>;
+    using ServerCall = Sel4ServerCall;
+    using Handler = std::function<void(ServerCall &)>;
 
     explicit Sel4Kernel(hw::Machine &machine);
 
@@ -186,10 +178,10 @@ class Sel4Kernel : public Kernel
      * Synchronous call: request bytes at @p req_va (client VA), reply
      * delivered to @p reply_va (client VA, capacity @p reply_cap).
      */
-    Sel4CallOutcome call(hw::Core &core, Thread &client, uint64_t ep,
-                         uint64_t opcode, VAddr req_va, uint64_t req_len,
-                         VAddr reply_va, uint64_t reply_cap,
-                         LongMsgMode mode = LongMsgMode::TwoCopy);
+    CallOutcome call(hw::Core &core, Thread &client, uint64_t ep,
+                     uint64_t opcode, VAddr req_va, uint64_t req_len,
+                     VAddr reply_va, uint64_t reply_cap,
+                     LongMsgMode mode = LongMsgMode::TwoCopy);
 
     /** Phase breakdown of the most recent fast-path call (Table 1). */
     Sel4Phases lastPhases;

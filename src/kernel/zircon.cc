@@ -2,57 +2,11 @@
 
 #include <cstring>
 
+#include "kernel/call_frame.hh"
 #include "sim/fault_injector.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace xpc::kernel {
-
-namespace {
-
-/** Closes the "zircon.channel_call" span (and the flow arc for the
- *  chain's top-level call) on every exit path, aborts included. */
-struct ZirconSpanCloser
-{
-    trace::Tracer &tr;
-    hw::Core &core;
-    uint32_t lane;
-    uint64_t flowId;
-    bool top;
-    bool active;
-    /** The request's terminal outcome, stamped as an instant for
-     *  critpath.py's --top outcome column. */
-    const ZirconCallOutcome *out = nullptr;
-    /** Caller's tenant; stamped (non-default only, so single-tenant
-     *  traces are unchanged) for critpath.py's per-tenant column. */
-    TenantId tenant = defaultTenant;
-    /** Caller's criticality tier; stamped (non-default only, so
-     *  untiered traces are unchanged) for the brownout timelines. */
-    req::Criticality tier = req::Criticality::Default;
-
-    ~ZirconSpanCloser()
-    {
-        if (top && out) {
-            tr.instantNow("zircon", "outcome", lane,
-                          callStatusName(out->status));
-            if (tenant != defaultTenant)
-                tr.instantNow("zircon", "tenant", lane,
-                              std::to_string(tenant));
-            if (tier != req::Criticality::Default)
-                tr.instantNow("zircon", "tier", lane,
-                              req::criticalityName(tier));
-        }
-        if (!active)
-            return;
-        uint64_t now = core.now().value();
-        if (top)
-            tr.flow(trace::EventKind::FlowEnd, "zircon", "req",
-                    flowId, now, lane);
-        tr.end("zircon", "channel_call", now, lane);
-    }
-};
-
-} // namespace
 
 ZirconKernel::ZirconKernel(hw::Machine &machine) : Kernel(machine)
 {
@@ -99,27 +53,8 @@ ZirconServerCall::readRequest(uint64_t off, void *dst, uint64_t len)
         return;
     }
     if (len > 0)
-        hostileRewrite(off, len);
-}
-
-void
-ZirconServerCall::hostileRewrite(uint64_t off, uint64_t len)
-{
-    FaultInjector *inj = owner.machine().faultInjector();
-    if (!inj || !inj->noteServerRead())
-        return;
-    // The peer rewrites the field the handler just fetched, in the
-    // request buffer, so a second fetch of the same bytes disagrees
-    // with the first (the TOCTOU double-fetch hazard).
-    uint64_t n = len < 8 ? len : 8;
-    uint8_t tmp[8];
-    auto res = owner.userRead(coreRef, *server.process(), reqVa + off,
-                              tmp, n);
-    if (!res.ok)
-        return;
-    for (uint64_t i = 0; i < n; i++)
-        tmp[i] ^= 0xA5;
-    owner.userWrite(coreRef, *server.process(), reqVa + off, tmp, n);
+        owner.hostileRewrite(coreRef, *server.process(), reqVa + off,
+                             len);
 }
 
 void
@@ -167,12 +102,12 @@ ZirconServerCall::readReply(uint64_t off, void *dst, uint64_t len)
     }
 }
 
-ZirconCallOutcome
+CallOutcome
 ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
                    uint64_t opcode, VAddr req_va, uint64_t req_len,
                    VAddr reply_va, uint64_t reply_cap)
 {
-    ZirconCallOutcome out;
+    CallOutcome out;
     panic_if(ch_id >= channels.size(), "no such channel %lu",
              (unsigned long)ch_id);
     Channel &ch = channels[ch_id];
@@ -182,45 +117,15 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
     channelMsgs.inc();
 
     FaultInjector *inj = mach.faultInjector();
-    const FaultEvent *fault = nullptr;
-    if (inj && inj->enabled) {
-        uint64_t seq = inj->beginCall();
-        fault = inj->eventAt(seq);
-        if (fault && fault->op == FaultOp::CopyFault) {
-            inj->armMemFault();
-            inj->recordFired(*fault);
-        }
-    }
+    const FaultEvent *fault = drawCallFault();
 
     // Bind the hop to its request chain and bracket the whole channel
-    // round-trip on the client's lane (the old post-hoc span could
-    // not cover abort unwinds; the closer can).
-    req::RequestScope rscope;
-
-    // Deadline: minted from the kernel's per-call budget at the top
-    // of a chain, inherited (absolute) by every nested hop.
-    req::DeadlineScope dscope(
-        rscope.topLevel() && callDeadline.value() != 0
-            ? (core.now() + callDeadline).value()
-            : 0);
-    const uint64_t deadline =
-        req::RequestContext::global().currentDeadline();
-    auto &tr = trace::Tracer::global();
+    // round-trip on the client's lane.
     uint32_t clane = req::threadLane(uint32_t(client.id()));
-
-    Cycles start = core.now();
-    if (tr.enabled()) {
-        tr.begin("zircon", "channel_call", start.value(), clane);
-        tr.flow(rscope.topLevel() ? trace::EventKind::FlowStart
-                                  : trace::EventKind::FlowStep,
-                "zircon", "req", rscope.id(), start.value(), clane);
-    }
-    ZirconSpanCloser closer{tr,          core,
-                            clane,       rscope.id(),
-                            rscope.topLevel(), tr.enabled(),
-                            &out,        client.tenant,
-                            req::RequestContext::global()
-                                .currentCriticality()};
+    CallFrame frame("zircon", "channel_call", core, clane, client.tenant,
+                    callDeadline, out.status);
+    const uint64_t deadline = frame.deadline();
+    Cycles start = frame.open();
 
     bool cross_core = ch.server->sched.homeCore != core.id();
     hw::Core &scre =
@@ -230,7 +135,7 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
     // for the hop back (if the server was woken) and surface the
     // status instead of panicking the whole simulation.
     bool server_woken = false;
-    auto abortCall = [&](CallStatus status) -> ZirconCallOutcome {
+    auto abortCall = [&](CallStatus status) -> CallOutcome {
         if (server_woken) {
             if (cross_core) {
                 mach.sendIpi(scre.id(), core.id());
@@ -248,7 +153,7 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
         return out;
     };
 
-    if (deadline != 0 && core.now().value() >= deadline) {
+    if (frame.expired(core)) {
         // Budget already exhausted by upstream hops: reject before
         // the channel write.
         deadlineExpired.inc();
@@ -367,18 +272,14 @@ ZirconKernel::call(hw::Core &core, Thread &client, uint64_t ch_id,
     out.handlerCycles = scre.now() - h0;
     if (inj)
         inj->clearHandoffMutation();
-    if (tr.enabled()) {
-        tr.begin("zircon", "handler", h0.value(), hlane);
-        tr.flow(trace::EventKind::FlowStep, "zircon", "req",
-                rscope.id(), h0.value(), hlane);
-        tr.end("zircon", "handler", scre.now().value(), hlane);
-    }
+    frame.handlerSpan(h0, scre.now(), hlane);
 
-    if (deadline != 0 && scre.now().value() >= deadline) {
+    if (frame.expired(scre)) {
         // Expired while the server held the request: hop back to the
         // client and discard the (partial) reply it gave up on.
         deadlineExpired.inc();
-        tr.instantNow("zircon", "deadline_expired", clane);
+        trace::Tracer::global().instantNow("zircon", "deadline_expired",
+                                           clane);
         return abortCall(CallStatus::DeadlineExpired);
     }
 

@@ -75,10 +75,6 @@ class ZirconServerCall
         : owner(k), coreRef(c), server(s)
     {}
 
-    /** MutateAfterHandoff: the hostile peer rewrites the bytes the
-     *  handler just fetched, in the server's request buffer. */
-    void hostileRewrite(uint64_t off, uint64_t len);
-
     ZirconKernel &owner;
     hw::Core &coreRef;
     Thread &server;
@@ -91,23 +87,12 @@ class ZirconServerCall
     VAddr replyVa = 0; ///< server-private reply buffer
 };
 
-/** Outcome of a synchronous (write + wait + read) channel call. */
-struct ZirconCallOutcome
-{
-    bool ok = false;
-    CallStatus status = CallStatus::Ok;
-    uint64_t replyLen = 0;
-    Cycles oneWay;
-    Cycles roundTrip;
-    /** Cycles spent inside the server handler (not IPC overhead). */
-    Cycles handlerCycles;
-};
-
 /** Zircon-like kernel personality. */
 class ZirconKernel : public Kernel
 {
   public:
-    using Handler = std::function<void(ZirconServerCall &)>;
+    using ServerCall = ZirconServerCall;
+    using Handler = std::function<void(ServerCall &)>;
 
     explicit ZirconKernel(hw::Machine &machine);
 
@@ -120,10 +105,9 @@ class ZirconKernel : public Kernel
      * Synchronous call over channel @p ch: write request, block on
      * the reply, read it back into @p reply_va.
      */
-    ZirconCallOutcome call(hw::Core &core, Thread &client, uint64_t ch,
-                           uint64_t opcode, VAddr req_va,
-                           uint64_t req_len, VAddr reply_va,
-                           uint64_t reply_cap);
+    CallOutcome call(hw::Core &core, Thread &client, uint64_t ch,
+                     uint64_t opcode, VAddr req_va, uint64_t req_len,
+                     VAddr reply_va, uint64_t reply_cap);
 
     Counter channelMsgs;
 

@@ -167,18 +167,29 @@ TEST_F(CritPathTest, NestedChainKeepsOneFlow)
 
 TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
 {
-    // The same invariants through the Transport layer on all three
-    // systems: XPC fast path, seL4 IPC, Zircon channels.
-    const core::SystemFlavor flavors[] = {
-        core::SystemFlavor::Sel4Xpc,
-        core::SystemFlavor::Sel4TwoCopy,
-        core::SystemFlavor::Zircon,
+    // The same invariants through the Transport layer on every
+    // kernel: XPC fast path, seL4 IPC in both copy disciplines, Zircon
+    // channels. Each call's frame also stamps the request's terminal
+    // outcome (critpath.py --top groups by it), plus the caller's
+    // tenant and tier when they are not the default.
+    struct Case
+    {
+        core::SystemFlavor flavor;
+        const char *cat;
     };
-    for (auto flavor : flavors) {
-        SCOPED_TRACE(core::systemFlavorName(flavor));
-        auto sys = makeSystem(flavor);
+    const Case cases[] = {
+        {core::SystemFlavor::Sel4Xpc, "xpc"},
+        {core::SystemFlavor::Sel4TwoCopy, "sel4"},
+        {core::SystemFlavor::Sel4OneCopy, "sel4"},
+        {core::SystemFlavor::Zircon, "zircon"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(core::systemFlavorName(c.flavor));
+        auto sys = makeSystem(c.flavor);
         kernel::Thread &server = sys->spawn("server");
         kernel::Thread &client = sys->spawn("client");
+        kernel::Thread &tenant_client =
+            sys->spawn("tenant-client", 0, /*tenant=*/7);
         core::ServiceDesc desc;
         desc.name = "echo";
         desc.handlerThread = &server;
@@ -187,12 +198,31 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
                 api.replyFromRequest(0, api.requestLen());
             });
         sys->transport().connect(client, svc);
+        sys->transport().connect(tenant_client, svc);
 
         hw::Core &core = sys->core(0);
         core::Transport &tr = sys->transport();
         tr.requestArea(core, client, 4096);
+        tr.requestArea(core, tenant_client, 4096);
 
         trace::Tracer &tracer = trace::Tracer::global();
+        // The (name, text) of every outcome/tenant/tier instant, each
+        // checked to carry the flavor's span category.
+        auto stamps = [&] {
+            std::vector<std::pair<std::string, std::string>> out;
+            for (const trace::TraceEvent &ev : tracer.events()) {
+                std::string name = ev.name;
+                if (ev.kind != trace::EventKind::Instant ||
+                    (name != "outcome" && name != "tenant" &&
+                     name != "tier"))
+                    continue;
+                EXPECT_STREQ(ev.cat, c.cat) << name;
+                out.emplace_back(name, tracer.textOf(ev));
+            }
+            return out;
+        };
+        using Stamps = std::vector<std::pair<std::string, std::string>>;
+
         tracer.clear();
         req::RequestContext::global().reset();
         uint8_t payload[64] = {0x5a};
@@ -208,6 +238,36 @@ TEST_F(CritPathTest, TransportCallsCloseOnEveryKernel)
         EXPECT_TRUE(r.flowClosed);
         EXPECT_GE(r.lanes, 2u);
         expectExact(r);
+        // Default tenant and tier: the outcome alone.
+        EXPECT_EQ(stamps(), (Stamps{{"outcome", "ok"}}));
+
+        // An upstream hop already spent the whole budget: the call is
+        // refused before it traps, and the frame still closes it.
+        tracer.clear();
+        {
+            req::DeadlineScope spent(core.now().value());
+            res = tr.call(core, client, svc, 0, sizeof(payload), 4096);
+        }
+        EXPECT_FALSE(res.ok);
+        EXPECT_EQ(res.status, core::TransportStatus::DeadlineExpired);
+        EXPECT_EQ(stamps(), (Stamps{{"outcome", "deadline-expired"}}));
+        reports = critpath::analyze(tracer.events());
+        ASSERT_EQ(reports.size(), 1u);
+        EXPECT_TRUE(reports[0].flowClosed);
+        expectExact(reports[0]);
+
+        // A non-default tenant calling at the critical tier.
+        tracer.clear();
+        tr.clientWrite(core, tenant_client, 0, payload, sizeof(payload));
+        {
+            req::CriticalityScope tier(req::Criticality::Critical);
+            res = tr.call(core, tenant_client, svc, 0, sizeof(payload),
+                          4096);
+        }
+        ASSERT_TRUE(res.ok);
+        EXPECT_EQ(stamps(), (Stamps{{"outcome", "ok"},
+                                    {"tenant", "7"},
+                                    {"tier", "critical"}}));
     }
 }
 

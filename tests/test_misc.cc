@@ -51,7 +51,7 @@ TEST(Sel4Paths, SlowPathCostsMoreThanFast)
             st, [](kernel::Sel4ServerCall &) {});
         kern.grantEndpointCap(ct, ep);
         VAddr req = cp.alloc(4096), reply = cp.alloc(4096);
-        kernel::Sel4CallOutcome out;
+        kernel::CallOutcome out;
         for (int i = 0; i < 4; i++) {
             out = kern.call(machine.core(0), ct, ep, 1, req, 8,
                             reply, 32);
