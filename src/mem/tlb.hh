@@ -22,14 +22,18 @@
 
 namespace xpc::mem {
 
-/** One cached translation. */
+/**
+ * One cached translation. It is live while its epoch equals the TLB's;
+ * epoch 0 is never live. asid and perms share one word, which keeps
+ * the entry at 40 bytes.
+ */
 struct TlbEntry
 {
-    bool valid = false;
+    uint64_t epoch = 0;
     Asid asid = 0;
+    Perms perms;
     uint64_t vpn = 0;
     uint64_t ppn = 0;
-    Perms perms;
     uint64_t lruStamp = 0;
 };
 
@@ -55,7 +59,7 @@ class Tlb
     /** Install a translation after a successful page walk. */
     void insert(Asid asid, VAddr vaddr, PAddr paddr, Perms perms);
 
-    /** Drop every entry (untagged address-space switch). */
+    /** Drop every entry (untagged address-space switch); O(1). */
     void flushAll();
 
     /** Drop entries belonging to @p asid (unmap/shootdown). */
@@ -73,6 +77,8 @@ class Tlb
     uint32_t assoc;
     bool isTagged;
     uint64_t clock = 0;
+    /** Entries carrying this epoch are live; flushAll() bumps it. */
+    uint64_t epoch = 1;
     std::vector<TlbEntry> entriesVec;
 
     TlbEntry *set(uint64_t vpn);

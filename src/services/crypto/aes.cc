@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define XPC_HOST_AES 1
+#endif
+
 namespace xpc::services::crypto {
 
 namespace {
@@ -140,6 +145,42 @@ storeCol(uint8_t *p, uint32_t w)
     p[3] = uint8_t(w >> 24);
 }
 
+#ifdef XPC_HOST_AES
+/**
+ * CBC encryption on the host's AES instructions. The round keys are
+ * little-endian column words, so their bytes in memory are already
+ * the FIPS-197 byte order that aesenc expects.
+ */
+__attribute__((target("aes,sse2"))) void
+cbcNi(const uint32_t *round_keys, uint8_t *data, size_t len,
+      const uint8_t *iv)
+{
+    constexpr int rounds = 10; // AES-128
+    __m128i k[rounds + 1];
+    for (int r = 0; r <= rounds; r++)
+        k[r] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(round_keys + 4 * r));
+    __m128i chain = _mm_loadu_si128(reinterpret_cast<const __m128i *>(iv));
+    for (size_t off = 0; off + Aes128::blockBytes <= len;
+         off += Aes128::blockBytes) {
+        auto *p = reinterpret_cast<__m128i *>(data + off);
+        __m128i b = _mm_xor_si128(_mm_loadu_si128(p), chain);
+        b = _mm_xor_si128(b, k[0]);
+        for (int r = 1; r < rounds; r++)
+            b = _mm_aesenc_si128(b, k[r]);
+        chain = _mm_aesenclast_si128(b, k[rounds]);
+        _mm_storeu_si128(p, chain);
+    }
+}
+
+// __builtin_cpu_init first: this may run before libgcc's own
+// constructor has filled in the CPU model.
+const bool hostAes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
+}();
+#endif
+
 } // namespace
 
 Aes128::Aes128(const uint8_t key[keyBytes])
@@ -263,6 +304,19 @@ Aes128::decryptBlock(const uint8_t in[blockBytes],
 void
 Aes128::encryptCbc(uint8_t *data, size_t len,
                    const uint8_t iv[blockBytes]) const
+{
+#ifdef XPC_HOST_AES
+    if (hostAes) {
+        cbcNi(roundKeys.data(), data, len, iv);
+        return;
+    }
+#endif
+    encryptCbcTable(data, len, iv);
+}
+
+void
+Aes128::encryptCbcTable(uint8_t *data, size_t len,
+                        const uint8_t iv[blockBytes]) const
 {
     uint8_t chain[blockBytes];
     std::memcpy(chain, iv, blockBytes);

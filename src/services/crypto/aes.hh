@@ -1,11 +1,14 @@
 /**
  * @file
  * AES-128 (FIPS-197): key expansion, block encrypt/decrypt, and
- * CBC-mode helpers. This is a complete software implementation used
- * by the crypto service of the paper's web-server experiment; the
- * bytes are computed for real (validated against the FIPS-197 and
- * NIST SP 800-38A vectors in the tests) and the simulated compute
- * cost is charged per byte by the caller.
+ * CBC-mode helpers, used by the crypto service of the paper's
+ * web-server experiment. The bytes are computed for real (validated
+ * against the FIPS-197 and NIST SP 800-38A vectors in the tests).
+ * CBC encryption runs on the host's AES instructions when CPUID
+ * reports them (x86 only) and on the portable T-table code otherwise;
+ * both give the same ciphertext. The simulated compute cost is
+ * costCycles(), charged per byte by the caller, and does not depend
+ * on which host path ran.
  */
 
 #ifndef XPC_SERVICES_CRYPTO_AES_HH
@@ -37,10 +40,18 @@ class Aes128
 
     /**
      * CBC-encrypt @p len bytes in place. @p len must be a multiple of
-     * the block size (callers zero-pad).
+     * the block size (callers zero-pad). Uses the host's AES
+     * instructions when present, else encryptCbcTable().
      */
     void encryptCbc(uint8_t *data, size_t len,
                     const uint8_t iv[blockBytes]) const;
+
+    /**
+     * The portable CBC encryption (T-table rounds): the reference the
+     * host-AES path of encryptCbc() must match byte for byte.
+     */
+    void encryptCbcTable(uint8_t *data, size_t len,
+                         const uint8_t iv[blockBytes]) const;
 
     /** CBC-decrypt @p len bytes in place. */
     void decryptCbc(uint8_t *data, size_t len,

@@ -315,6 +315,185 @@ TEST(TlbTest, LruEvictionWithinSet)
     EXPECT_EQ(tlb.lookup(1, 0x2000), nullptr);
 }
 
+/**
+ * The valid-bit TLB that the epoch TLB replaced (flushAll cleared
+ * every entry): the exactness reference for Tlb.
+ */
+class RefTlb
+{
+  public:
+    RefTlb(uint32_t entries, uint32_t assoc)
+        : numSets(entries / assoc), assoc(assoc), entries(entries)
+    {
+    }
+
+    const TlbEntry *
+    lookup(Asid asid, VAddr vaddr)
+    {
+        uint64_t vpn = vaddr >> pageShift;
+        Entry *ways = set(vpn);
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (e.valid && e.e.vpn == vpn && e.e.asid == asid) {
+                e.e.lruStamp = ++clock;
+                hits++;
+                return &e.e;
+            }
+        }
+        misses++;
+        return nullptr;
+    }
+
+    void
+    insert(Asid asid, VAddr vaddr, PAddr paddr, Perms perms)
+    {
+        uint64_t vpn = vaddr >> pageShift;
+        Entry *ways = set(vpn);
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (e.valid && e.e.vpn == vpn && e.e.asid == asid) {
+                e.e.ppn = paddr >> pageShift;
+                e.e.perms = perms;
+                e.e.lruStamp = ++clock;
+                return;
+            }
+        }
+        Entry *victim = &ways[0];
+        for (uint32_t i = 0; i < assoc; i++) {
+            Entry &e = ways[i];
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.e.lruStamp < victim->e.lruStamp)
+                victim = &e;
+        }
+        victim->valid = true;
+        victim->e.asid = asid;
+        victim->e.vpn = vpn;
+        victim->e.ppn = paddr >> pageShift;
+        victim->e.perms = perms;
+        victim->e.lruStamp = ++clock;
+    }
+
+    void
+    flushAll()
+    {
+        for (auto &e : entries)
+            e.valid = false;
+        flushes++;
+    }
+
+    void
+    flushAsid(Asid asid)
+    {
+        for (auto &e : entries) {
+            if (e.valid && e.e.asid == asid)
+                e.valid = false;
+        }
+        flushes++;
+    }
+
+    uint64_t hits = 0, misses = 0, flushes = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        TlbEntry e;
+    };
+
+    Entry *
+    set(uint64_t vpn)
+    {
+        return &entries[(vpn & (numSets - 1)) * assoc];
+    }
+
+    uint32_t numSets;
+    uint32_t assoc;
+    uint64_t clock = 0;
+    std::vector<Entry> entries;
+};
+
+/**
+ * Replay one seeded random stream of lookups, refills and flushes
+ * through Tlb and RefTlb and require the same hit or miss and the
+ * same translation on every lookup, and the same counters at the end.
+ */
+void
+replayTlbAgainstReference(uint32_t entries, uint32_t assoc, bool tagged,
+                          uint64_t seed)
+{
+    Tlb tlb(entries, assoc, tagged);
+    RefTlb ref(entries, assoc);
+    Rng rng(seed);
+    // Four address spaces over a VPN span of twice the TLB's reach,
+    // so sets conflict, refills replace live and flushed ways, and
+    // flushAsid leaves the other spaces' entries live.
+    uint64_t span = 2 * uint64_t(entries);
+    uint64_t ppn_salt = 0;
+    uint64_t hits = 0;
+    for (int i = 0; i < 20000; i++) {
+        Asid asid = Asid(1 + rng.nextBounded(4));
+        VAddr va = rng.nextBounded(span) << pageShift |
+                   rng.nextBounded(pageSize);
+        uint64_t op = rng.nextBounded(100);
+        if (op < 2) {
+            tlb.flushAll();
+            ref.flushAll();
+        } else if (op < 4) {
+            tlb.flushAsid(asid);
+            ref.flushAsid(asid);
+        } else if (op < 10) {
+            // A refill that may replace a live translation in place.
+            PAddr pa = PAddr(++ppn_salt) << pageShift;
+            Perms perms = rng.nextBounded(2) ? permsRW : permsRO;
+            tlb.insert(asid, va, pa, perms);
+            ref.insert(asid, va, pa, perms);
+        } else {
+            const TlbEntry *got = tlb.lookup(asid, va);
+            const TlbEntry *want = ref.lookup(asid, va);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "op " << i;
+            if (got) {
+                hits++;
+                ASSERT_EQ(got->ppn, want->ppn) << "op " << i;
+                ASSERT_EQ(got->perms, want->perms) << "op " << i;
+                continue;
+            }
+            // Walk and refill on a miss, as MemSystem does.
+            PAddr pa = PAddr(++ppn_salt) << pageShift;
+            tlb.insert(asid, va, pa, permsRW);
+            ref.insert(asid, va, pa, permsRW);
+        }
+    }
+    EXPECT_EQ(tlb.hits.value(), ref.hits);
+    EXPECT_EQ(tlb.misses.value(), ref.misses);
+    EXPECT_EQ(tlb.flushes.value(), ref.flushes);
+    // The stream must have both hit and missed.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(ref.misses, 0u);
+}
+
+// Geometries of hw::rocketU500 (128 entries, 4-way, untagged),
+// hw::lowRiscKc705 (256 entries, 4-way, tagged) and a tiny 2-way TLB.
+TEST(TlbPropertyTest, RocketUntaggedMatchesValidBitReference)
+{
+    for (uint64_t seed : {1, 2, 3})
+        replayTlbAgainstReference(128, 4, false, seed);
+}
+
+TEST(TlbPropertyTest, Kc705TaggedMatchesValidBitReference)
+{
+    for (uint64_t seed : {4, 5, 6})
+        replayTlbAgainstReference(256, 4, true, seed);
+}
+
+TEST(TlbPropertyTest, TinyTwoWayMatchesValidBitReference)
+{
+    for (uint64_t seed : {7, 8, 9})
+        replayTlbAgainstReference(4, 2, false, seed);
+}
+
 TEST(CacheTest, MissThenHit)
 {
     Cache l1({1024, 64, 2, Cycles(2)}, nullptr, Cycles(50));

@@ -51,29 +51,71 @@ TEST(AesTest, Fips197AppendixBVector)
 
 TEST(AesTest, Nist38aCbcVector)
 {
-    // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first two blocks.
+    // NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, all four blocks,
+    // through encryptCbc (host AES where present) and through the
+    // portable reference encryptCbcTable.
     const uint8_t key[16] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2,
                              0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
                              0x4f, 0x3c};
     const uint8_t iv[16] = {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
                             0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
                             0x0e, 0x0f};
-    uint8_t data[32] = {0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f,
-                        0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-                        0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57, 0x1e,
-                        0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac,
-                        0x45, 0xaf, 0x8e, 0x51};
-    const uint8_t expect[32] = {
+    const uint8_t plain[64] = {
+        0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d,
+        0x7e, 0x11, 0x73, 0x93, 0x17, 0x2a, 0xae, 0x2d, 0x8a, 0x57,
+        0x1e, 0x03, 0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac, 0x45, 0xaf,
+        0x8e, 0x51, 0x30, 0xc8, 0x1c, 0x46, 0xa3, 0x5c, 0xe4, 0x11,
+        0xe5, 0xfb, 0xc1, 0x19, 0x1a, 0x0a, 0x52, 0xef, 0xf6, 0x9f,
+        0x24, 0x45, 0xdf, 0x4f, 0x9b, 0x17, 0xad, 0x2b, 0x41, 0x7b,
+        0xe6, 0x6c, 0x37, 0x10};
+    const uint8_t expect[64] = {
         0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9,
         0x8e, 0x9b, 0x12, 0xe9, 0x19, 0x7d, 0x50, 0x86, 0xcb, 0x9b,
         0x50, 0x72, 0x19, 0xee, 0x95, 0xdb, 0x11, 0x3a, 0x91, 0x76,
-        0x78, 0xb2};
+        0x78, 0xb2, 0x73, 0xbe, 0xd6, 0xb8, 0xe3, 0xc1, 0x74, 0x3b,
+        0x71, 0x16, 0xe6, 0x9e, 0x22, 0x22, 0x95, 0x16, 0x3f, 0xf1,
+        0xca, 0xa1, 0x68, 0x1f, 0xac, 0x09, 0x12, 0x0e, 0xca, 0x30,
+        0x75, 0x86, 0xe1, 0xa7};
     crypto::Aes128 aes(key);
+
+    uint8_t data[64];
+    std::memcpy(data, plain, sizeof(data));
+    aes.encryptCbcTable(data, sizeof(data), iv);
+    EXPECT_EQ(std::memcmp(data, expect, 64), 0);
+
+    std::memcpy(data, plain, sizeof(data));
     aes.encryptCbc(data, sizeof(data), iv);
-    EXPECT_EQ(std::memcmp(data, expect, 32), 0);
+    EXPECT_EQ(std::memcmp(data, expect, 64), 0);
     aes.decryptCbc(data, sizeof(data), iv);
-    EXPECT_EQ(data[0], 0x6b);
-    EXPECT_EQ(data[31], 0x51);
+    EXPECT_EQ(std::memcmp(data, plain, 64), 0);
+}
+
+/**
+ * Property: encryptCbc equals the portable reference for 0-64 blocks,
+ * random keys and IVs, and every buffer alignment mod 16.
+ */
+TEST(AesTest, CbcMatchesTableReference)
+{
+    Rng rng(15);
+    std::vector<uint8_t> buf(16 + 64 * 16), ref;
+    for (size_t blocks = 0; blocks <= 64; blocks++) {
+        for (size_t offset = 0; offset < 16; offset++) {
+            uint8_t key[16], iv[16];
+            for (auto &k : key)
+                k = uint8_t(rng.next());
+            for (auto &v : iv)
+                v = uint8_t(rng.next());
+            for (auto &b : buf)
+                b = uint8_t(rng.next());
+            ref = buf;
+            crypto::Aes128 aes(key);
+            size_t len = blocks * 16;
+            aes.encryptCbc(buf.data() + offset, len, iv);
+            aes.encryptCbcTable(ref.data() + offset, len, iv);
+            ASSERT_EQ(buf, ref)
+                << blocks << " blocks at offset " << offset;
+        }
+    }
 }
 
 TEST(AesTest, CbcRoundTripsRandomData)

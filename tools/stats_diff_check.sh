@@ -1,7 +1,11 @@
 #!/bin/sh
-# Determinism gate: run a bench twice into two report directories and
-# require the BENCH_*.json reports to be identical (0% threshold -
-# the simulator is deterministic, so any drift is a real change).
+# Determinism gate: run each bench twice into two report directories
+# and require every pair of BENCH_*.json reports to be equal byte for
+# byte. A plain cmp, not stats_diff.py: the simulator is
+# deterministic, so any drift is a real change, and the diff tool
+# passes a drift in the "better" direction and ignores keys outside
+# metrics/phases. On a mismatch the stats_diff.py view and the diff
+# are printed to show what moved, as in golden_check.sh.
 #
 # Usage: stats_diff_check.sh BENCH_BINARY [BENCH_BINARY...]
 set -eu
@@ -19,4 +23,17 @@ for bench in "$@"; do
         > /dev/null
 done
 
-python3 "$here/stats_diff.py" --threshold 0 "$work/a" "$work/b"
+status=0
+for a in "$work"/a/BENCH_*.json; do
+    b="$work/b/$(basename "$a")"
+    if cmp "$a" "$b"; then
+        continue
+    fi
+    status=1
+    echo "stats_diff_check: $(basename "$a") differs between runs"
+    if command -v python3 > /dev/null; then
+        python3 "$here/stats_diff.py" --threshold 0 "$a" "$b" || true
+    fi
+    diff "$a" "$b" || true
+done
+exit $status
