@@ -22,7 +22,117 @@ constexpr uint32_t intSlotBytes = btreeKeyBytes + 4;
 static_assert(8 + leafCap * leafSlotBytes <= dbPageBytes);
 static_assert(8 + internalCap * intSlotBytes <= dbPageBytes);
 
-/** Host-side decoded node. */
+// Slot layout of a node page: an 8-byte header {type:8, pad:8,
+// nkeys:16, next:32}, then nkeys slots of {key, len:32, value} (leaf)
+// or {key, child:32} (internal). decode/encode and the in-place
+// readers (findLeaf, get, scan) all go through these accessors.
+
+/** Offset in a slot of the field after the key: len or child. */
+constexpr uint32_t slotFieldAt = btreeKeyBytes;
+
+bool
+isLeaf(const uint8_t *d)
+{
+    return d[0] != nodeInternal;
+}
+
+/** Slot count; a count past the node's capacity is corrupt. */
+uint16_t
+nodeKeys(const uint8_t *d)
+{
+    uint16_t nkeys;
+    std::memcpy(&nkeys, d + 2, 2);
+    panic_if(nkeys > (isLeaf(d) ? leafCap : internalCap),
+             "corrupt node: %u slots", unsigned(nkeys));
+    return nkeys;
+}
+
+/** Leaf: right sibling (0 = none). Internal: leftmost child. */
+uint32_t
+nodeNext(const uint8_t *d)
+{
+    uint32_t next;
+    std::memcpy(&next, d + 4, 4);
+    return next;
+}
+
+template <typename Byte>
+Byte *
+leafSlot(Byte *d, uint32_t i)
+{
+    return d + 8 + size_t(i) * leafSlotBytes;
+}
+
+template <typename Byte>
+Byte *
+intSlot(Byte *d, uint32_t i)
+{
+    return d + 8 + size_t(i) * intSlotBytes;
+}
+
+BtKey
+slotKey(const uint8_t *slot)
+{
+    BtKey k;
+    std::memcpy(k.bytes, slot, btreeKeyBytes);
+    return k;
+}
+
+/** The slot's key compared with @p key, memcmp-style. */
+int
+slotKeyCmp(const uint8_t *slot, const BtKey &key)
+{
+    return std::memcmp(slot, key.bytes, btreeKeyBytes);
+}
+
+uint32_t
+leafValueLen(const uint8_t *slot)
+{
+    uint32_t len;
+    std::memcpy(&len, slot + slotFieldAt, 4);
+    panic_if(len > btreeValueMax, "corrupt leaf slot");
+    return len;
+}
+
+template <typename Byte>
+Byte *
+leafValue(Byte *slot)
+{
+    return slot + slotFieldAt + 4;
+}
+
+uint32_t
+intChild(const uint8_t *slot)
+{
+    uint32_t child;
+    std::memcpy(&child, slot + slotFieldAt, 4);
+    return child;
+}
+
+/** A leaf's slot count, after checking every slot's length (so a
+ *  corrupt slot panics wherever it sits, as decode does). */
+uint16_t
+checkedLeafKeys(const uint8_t *d)
+{
+    uint16_t nkeys = nodeKeys(d);
+    for (uint16_t i = 0; i < nkeys; i++)
+        leafValueLen(leafSlot(d, i));
+    return nkeys;
+}
+
+/** The child of internal node @p d whose subtree holds @p key: the
+ *  one left of the first separator greater than it. */
+uint32_t
+childFor(const uint8_t *d, const BtKey &key)
+{
+    uint16_t nkeys = nodeKeys(d);
+    uint16_t idx = 0;
+    while (idx < nkeys && slotKeyCmp(intSlot(d, idx), key) <= 0)
+        idx++;
+    return idx == 0 ? nodeNext(d) : intChild(intSlot(d, idx - 1));
+}
+
+/** Host-side decoded node, for the writers. */
 struct Node
 {
     bool leaf = true;
@@ -49,30 +159,19 @@ decode(const DbPage &page)
 {
     Node n;
     const uint8_t *d = page.data.data();
-    uint8_t type = d[0];
-    uint16_t nkeys;
-    std::memcpy(&nkeys, d + 2, 2);
-    std::memcpy(&n.next, d + 4, 4);
-    n.leaf = type != nodeInternal;
-    if (n.leaf) {
-        for (uint16_t i = 0; i < nkeys; i++) {
-            const uint8_t *slot = d + 8 + i * leafSlotBytes;
-            Node::LeafEntry e;
-            std::memcpy(e.key.bytes, slot, btreeKeyBytes);
-            uint32_t len;
-            std::memcpy(&len, slot + btreeKeyBytes, 4);
-            panic_if(len > btreeValueMax, "corrupt leaf slot");
-            e.value.assign(slot + btreeKeyBytes + 4,
-                           slot + btreeKeyBytes + 4 + len);
-            n.leafEntries.push_back(std::move(e));
-        }
-    } else {
-        for (uint16_t i = 0; i < nkeys; i++) {
-            const uint8_t *slot = d + 8 + i * intSlotBytes;
-            Node::IntEntry e;
-            std::memcpy(e.key.bytes, slot, btreeKeyBytes);
-            std::memcpy(&e.child, slot + btreeKeyBytes, 4);
-            n.intEntries.push_back(e);
+    n.leaf = isLeaf(d);
+    n.next = nodeNext(d);
+    uint16_t nkeys = nodeKeys(d);
+    for (uint16_t i = 0; i < nkeys; i++) {
+        if (n.leaf) {
+            const uint8_t *slot = leafSlot(d, i);
+            const uint8_t *value = leafValue(slot);
+            n.leafEntries.push_back(
+                {slotKey(slot),
+                 {value, value + leafValueLen(slot)}});
+        } else {
+            const uint8_t *slot = intSlot(d, i);
+            n.intEntries.push_back({slotKey(slot), intChild(slot)});
         }
     }
     return n;
@@ -91,21 +190,21 @@ encode(const Node &n, DbPage &page)
     if (n.leaf) {
         panic_if(n.leafEntries.size() > leafCap, "leaf overflow");
         for (uint16_t i = 0; i < nkeys; i++) {
-            uint8_t *slot = d + 8 + i * leafSlotBytes;
+            uint8_t *slot = leafSlot(d, i);
             const auto &e = n.leafEntries[i];
             std::memcpy(slot, e.key.bytes, btreeKeyBytes);
             uint32_t len = uint32_t(e.value.size());
-            std::memcpy(slot + btreeKeyBytes, &len, 4);
-            std::memcpy(slot + btreeKeyBytes + 4, e.value.data(), len);
+            std::memcpy(slot + slotFieldAt, &len, 4);
+            std::memcpy(leafValue(slot), e.value.data(), len);
         }
     } else {
         panic_if(n.intEntries.size() > internalCap,
                  "internal overflow");
         for (uint16_t i = 0; i < nkeys; i++) {
-            uint8_t *slot = d + 8 + i * intSlotBytes;
+            uint8_t *slot = intSlot(d, i);
             const auto &e = n.intEntries[i];
             std::memcpy(slot, e.key.bytes, btreeKeyBytes);
-            std::memcpy(slot + btreeKeyBytes, &e.child, 4);
+            std::memcpy(slot + slotFieldAt, &e.child, 4);
         }
     }
 }
@@ -162,9 +261,11 @@ BTree::insertInto(uint32_t page_no, const BtKey &key,
                   const void *value, uint32_t len, bool *inserted)
 {
     SplitResult res;
-    Node node = decode(file.get(page_no));
+    const DbPage &page = file.get(page_no);
+    Node node;
 
-    if (node.leaf) {
+    if (isLeaf(page.data.data())) {
+        node = decode(page);
         auto it = std::lower_bound(
             node.leafEntries.begin(), node.leafEntries.end(), key,
             [](const Node::LeafEntry &e, const BtKey &k) {
@@ -211,17 +312,10 @@ BTree::insertInto(uint32_t page_no, const BtKey &key,
         return res;
     }
 
-    // Internal node: find the child to descend into.
-    size_t idx = 0;
-    while (idx < node.intEntries.size() &&
-           !(key < node.intEntries[idx].key)) {
-        idx++;
-    }
-    uint32_t child = idx == 0 ? node.next
-                              : node.intEntries[idx - 1].child;
-
-    SplitResult child_split =
-        insertInto(child, key, value, len, inserted);
+    // Internal node: descend in place; decode it only when the child
+    // split and a separator must go in.
+    SplitResult child_split = insertInto(childFor(page.data.data(), key),
+                                         key, value, len, inserted);
     if (!child_split.split)
         return res;
 
@@ -287,16 +381,10 @@ uint32_t
 BTree::findLeaf(uint32_t page_no, const BtKey &key)
 {
     for (;;) {
-        Node node = decode(file.get(page_no));
-        if (node.leaf)
+        const uint8_t *d = file.get(page_no).data.data();
+        if (isLeaf(d))
             return page_no;
-        size_t idx = 0;
-        while (idx < node.intEntries.size() &&
-               !(key < node.intEntries[idx].key)) {
-            idx++;
-        }
-        page_no = idx == 0 ? node.next
-                           : node.intEntries[idx - 1].child;
+        page_no = childFor(d, key);
     }
 }
 
@@ -304,10 +392,14 @@ std::optional<std::vector<uint8_t>>
 BTree::get(const BtKey &key)
 {
     uint32_t leaf = findLeaf(rootPage(), key);
-    Node node = decode(file.get(leaf));
-    for (const auto &e : node.leafEntries) {
-        if (e.key == key)
-            return e.value;
+    const uint8_t *d = file.get(leaf).data.data();
+    for (uint16_t i = 0, n = checkedLeafKeys(d); i < n; i++) {
+        const uint8_t *slot = leafSlot(d, i);
+        if (slotKeyCmp(slot, key) == 0) {
+            const uint8_t *value = leafValue(slot);
+            return std::vector<uint8_t>(value,
+                                        value + leafValueLen(slot));
+        }
     }
     return std::nullopt;
 }
@@ -338,16 +430,18 @@ BTree::scan(const BtKey &start, uint32_t limit,
     uint32_t visited = 0;
     uint32_t leaf = findLeaf(rootPage(), start);
     while (leaf != 0 && visited < limit) {
-        Node node = decode(file.get(leaf));
-        for (const auto &e : node.leafEntries) {
-            if (visited >= limit)
-                break;
-            if (e.key < start)
+        // A page off the leaf chain reads as an empty node, as its
+        // decoded form had no leaf entries.
+        const uint8_t *d = file.get(leaf).data.data();
+        uint16_t n = isLeaf(d) ? checkedLeafKeys(d) : 0;
+        leaf = nodeNext(d);
+        for (uint16_t i = 0; i < n && visited < limit; i++) {
+            const uint8_t *slot = leafSlot(d, i);
+            if (slotKeyCmp(slot, start) < 0)
                 continue;
-            visit(e.key, e.value.data(), uint32_t(e.value.size()));
+            visit(slotKey(slot), leafValue(slot), leafValueLen(slot));
             visited++;
         }
-        leaf = node.next;
     }
     return visited;
 }

@@ -65,7 +65,8 @@ class BTree
 
     /**
      * Range scan: visit up to @p limit records with key >= @p start,
-     * in order. @return records visited.
+     * in order. @p visit sees each value in place in the cached page,
+     * so it must not call back into the pager. @return records visited.
      */
     uint32_t scan(const BtKey &start, uint32_t limit,
                   const std::function<void(const BtKey &,

@@ -38,13 +38,24 @@ PagedFile::adoptExisting()
 DbPage *
 PagedFile::find(uint32_t page_no)
 {
-    for (auto &p : pages) {
-        if (p.valid && p.pageNo == page_no) {
-            p.lru = ++clock;
-            return &p;
-        }
-    }
-    return nullptr;
+    DbPage *p = page_no < slots.size() ? slots[page_no] : nullptr;
+    if (p)
+        p->lru = ++clock;
+    return p;
+}
+
+DbPage &
+PagedFile::admit(uint32_t page_no)
+{
+    if (pages.size() >= capacity)
+        evictOne();
+    DbPage &p = pages.emplace_back();
+    p.pageNo = page_no;
+    p.lru = ++clock;
+    if (page_no >= slots.size())
+        slots.resize(size_t(page_no) + 1, nullptr);
+    slots[page_no] = &p;
+    return p;
 }
 
 void
@@ -73,6 +84,7 @@ PagedFile::evictOne()
                 clean = it;
         }
         if (clean != pages.end()) {
+            slots[clean->pageNo] = nullptr;
             pages.erase(clean);
             return;
         }
@@ -83,6 +95,7 @@ PagedFile::evictOne()
     }
     if (victim->dirty)
         writeThrough(*victim);
+    slots[victim->pageNo] = nullptr;
     pages.erase(victim);
 }
 
@@ -96,15 +109,7 @@ PagedFile::get(uint32_t page_no)
     }
     cacheMisses.inc();
 
-    if (pages.size() >= capacity)
-        evictOne();
-
-    pages.emplace_back();
-    DbPage &p = pages.back();
-    p.pageNo = page_no;
-    p.valid = true;
-    p.dirty = false;
-    p.lru = ++clock;
+    DbPage &p = admit(page_no);
     pageReads.inc();
     int64_t r = FsServer::clientRead(
         transport, core, client, fsSvc, fd,
@@ -150,15 +155,7 @@ PagedFile::appendPage()
 {
     uint32_t page_no = numPages++;
     // Materialize it in the cache as a zeroed page.
-    if (pages.size() >= capacity)
-        evictOne();
-    pages.emplace_back();
-    DbPage &p = pages.back();
-    p.pageNo = page_no;
-    p.valid = true;
-    p.dirty = false;
-    p.lru = ++clock;
-    p.data.fill(0);
+    admit(page_no).data.fill(0);
     return page_no;
 }
 

@@ -26,7 +26,6 @@ constexpr uint64_t dbPageBytes = 4096;
 struct DbPage
 {
     uint32_t pageNo = 0;
-    bool valid = false;
     bool dirty = false;
     uint64_t lru = 0;
     std::array<uint8_t, dbPageBytes> data;
@@ -101,10 +100,18 @@ class PagedFile
     uint32_t numPages = 0;
     uint32_t capacity;
     uint64_t clock = 0;
+    /** The cached pages, in no particular order: the eviction victim
+     *  is picked by its (unique) lru stamp, not by position. */
     std::list<DbPage> pages;
+    /** Page number -> its cached page, or null. Host-only bookkeeping,
+     *  like the rest of the cache: lookups cost no simulated cycle. */
+    std::vector<DbPage *> slots;
     std::vector<uint32_t> dirtyList;
 
     DbPage *find(uint32_t page_no);
+    /** Cache @p page_no (not yet cached) in a fresh page, evicting
+     *  first when full. The caller fills its bytes. */
+    DbPage &admit(uint32_t page_no);
     void writeThrough(DbPage &page);
     void evictOne();
 };

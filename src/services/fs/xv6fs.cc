@@ -34,15 +34,20 @@ BufCache::BufCache(uint32_t nbufs) : capacity(nbufs)
     panic_if(nbufs == 0, "buffer cache needs at least one buffer");
 }
 
+BufCache::Buf *
+BufCache::find(uint32_t block_no)
+{
+    auto it = index.find(block_no);
+    return it == index.end() ? nullptr : it->second;
+}
+
 BufCache::Buf &
 BufCache::get(BlockIo &io, uint32_t block_no)
 {
-    for (auto &b : bufs) {
-        if (b.valid && b.blockNo == block_no) {
-            hits.inc();
-            b.lru = ++clock;
-            return b;
-        }
+    if (Buf *hit = find(block_no)) {
+        hits.inc();
+        hit->lru = ++clock;
+        return *hit;
     }
     misses.inc();
 
@@ -57,19 +62,18 @@ BufCache::get(BlockIo &io, uint32_t block_no)
                 victim = it;
         }
         if (victim != bufs.end()) {
-            if (victim->valid && victim->dirty)
+            if (victim->dirty)
                 io.write(victim->blockNo, victim->data.data());
+            index.erase(victim->blockNo);
             bufs.erase(victim);
         }
         // All pinned: allow temporary growth past capacity.
     }
 
-    bufs.emplace_back();
-    Buf &b = bufs.back();
+    Buf &b = bufs.emplace_back();
     b.blockNo = block_no;
-    b.valid = true;
-    b.dirty = false;
     b.lru = ++clock;
+    index[block_no] = &b;
     io.read(block_no, b.data.data());
     return b;
 }
@@ -77,23 +81,17 @@ BufCache::get(BlockIo &io, uint32_t block_no)
 void
 BufCache::pin(uint32_t block_no, bool pinned)
 {
-    for (auto &b : bufs) {
-        if (b.valid && b.blockNo == block_no) {
-            b.pinned = pinned;
-            return;
-        }
-    }
+    if (Buf *b = find(block_no))
+        b->pinned = pinned;
 }
 
 void
 BufCache::flush(BlockIo &io, uint32_t block_no)
 {
-    for (auto &b : bufs) {
-        if (b.valid && b.blockNo == block_no && b.dirty) {
-            io.write(b.blockNo, b.data.data());
-            b.dirty = false;
-            return;
-        }
+    Buf *b = find(block_no);
+    if (b && b->dirty) {
+        io.write(b->blockNo, b->data.data());
+        b->dirty = false;
     }
 }
 
@@ -101,7 +99,7 @@ void
 BufCache::flushAll(BlockIo &io)
 {
     for (auto &b : bufs) {
-        if (b.valid && b.dirty) {
+        if (b.dirty) {
             io.write(b.blockNo, b.data.data());
             b.dirty = false;
         }
@@ -112,6 +110,7 @@ void
 BufCache::invalidateAll()
 {
     bufs.clear();
+    index.clear();
 }
 
 // --------------------------------------------------------------------

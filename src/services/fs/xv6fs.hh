@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -92,7 +93,6 @@ class BufCache
     struct Buf
     {
         uint32_t blockNo = 0;
-        bool valid = false;
         bool dirty = false;
         /** Pinned buffers (in-transaction) are never evicted, so no
          *  home-location write can precede the log commit. */
@@ -123,7 +123,14 @@ class BufCache
   private:
     uint32_t capacity;
     uint64_t clock = 0;
+    /** In admission order: flushAll writes back in this order, and
+     *  that order is simulated device traffic. */
     std::list<Buf> bufs;
+    /** Block number -> its buffer: the host-side lookup for get, pin
+     *  and flush, kept in step by eviction and invalidateAll. */
+    std::unordered_map<uint32_t, Buf *> index;
+
+    Buf *find(uint32_t block_no);
 };
 
 /** Result codes (negative errno-style values). */

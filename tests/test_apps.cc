@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -169,23 +170,33 @@ TEST_F(MiniDbTest, ReadsHitThePageCacheWritesGoToDisk)
     EXPECT_GT(db.pager().pageWrites.value(), writes0);
 }
 
-/** Property test: MiniDb agrees with a std::map reference model. */
+std::string
+keyString(const BtKey &k)
+{
+    const char *c = reinterpret_cast<const char *>(k.bytes);
+    return std::string(c, strnlen(c, btreeKeyBytes));
+}
+
+/** Property test: MiniDb agrees with a std::map reference model on
+ *  puts, point reads, erases and range scans from random start keys
+ *  with random limits. */
 TEST_F(MiniDbTest, PropertyMatchesReferenceModel)
 {
     MiniDb db = makeDb("t8.db");
     std::map<std::string, std::vector<uint8_t>> model;
     Rng rng(21);
-    for (int i = 0; i < 400; i++) {
+    uint64_t scanned = 0;
+    for (int i = 0; i < 800; i++) {
         std::string key =
             "p" + std::to_string(rng.nextBounded(60));
-        uint64_t action = rng.nextBounded(10);
-        if (action < 6) {
+        uint64_t action = rng.nextBounded(20);
+        if (action < 10) {
             std::vector<uint8_t> value(1 + rng.nextBounded(600));
             for (auto &v : value)
                 v = uint8_t(rng.next());
             db.put(key, value.data(), uint32_t(value.size()));
             model[key] = value;
-        } else if (action < 9) {
+        } else if (action < 14) {
             auto got = db.get(key);
             auto ref = model.find(key);
             if (ref == model.end()) {
@@ -194,13 +205,68 @@ TEST_F(MiniDbTest, PropertyMatchesReferenceModel)
                 ASSERT_TRUE(got.has_value()) << key;
                 EXPECT_EQ(*got, ref->second) << key;
             }
-        } else {
+        } else if (action < 17) {
             bool had = db.tree().erase(BtKey::fromString(key));
             EXPECT_EQ(had, model.erase(key) > 0) << key;
+        } else {
+            // Start keys between and beyond the stored ones too:
+            // "p", "p4" and "p70" sort among "p0".."p59".
+            std::string num = std::to_string(rng.nextBounded(71));
+            std::string start =
+                "p" + num.substr(0, 1 + rng.nextBounded(2));
+            if (rng.nextBounded(8) == 0)
+                start = "p";
+            uint32_t limit = uint32_t(rng.nextBounded(12));
+            std::vector<std::pair<std::string, std::vector<uint8_t>>>
+                got;
+            uint32_t n = db.tree().scan(
+                BtKey::fromString(start), limit,
+                [&](const BtKey &k, const uint8_t *v, uint32_t len) {
+                    got.emplace_back(keyString(k),
+                                     std::vector<uint8_t>(v, v + len));
+                });
+            std::vector<std::pair<std::string, std::vector<uint8_t>>>
+                want;
+            for (auto it = model.lower_bound(start);
+                 it != model.end() && want.size() < limit; ++it)
+                want.emplace_back(it->first, it->second);
+            EXPECT_EQ(n, want.size()) << start << " limit " << limit;
+            EXPECT_EQ(got, want) << start << " limit " << limit;
+            scanned += n;
         }
     }
+    EXPECT_GT(scanned, 100u);
     db.tree().checkInvariants();
     EXPECT_EQ(db.tree().recordCount(), model.size());
+}
+
+using MiniDbDeathTest = MiniDbTest;
+
+/** A leaf slot whose length exceeds btreeValueMax is corrupt: get and
+ *  scan read leaves in place, and must still panic on it wherever it
+ *  sits in the leaf, before returning or visiting anything. */
+TEST_F(MiniDbDeathTest, CorruptLeafSlotPanicsThroughGetAndScan)
+{
+    constexpr uint32_t leafSlotBytes = btreeKeyBytes + 4 + btreeValueMax;
+    for (uint32_t bad = 0; bad < 3; bad++) {
+        SCOPED_TRACE("corrupt slot " + std::to_string(bad));
+        MiniDb db = makeDb("corrupt" + std::to_string(bad) + ".db");
+        std::vector<uint8_t> value(100, 7);
+        for (const char *k : {"a", "b", "c"})
+            db.put(k, value.data(), uint32_t(value.size()));
+        // Three records fill the root leaf, page 1 (page 0 is the
+        // tree header); slot i holds the i-th key.
+        ASSERT_EQ(db.tree().height(), 1u);
+        DbPage &leaf = db.pager().get(1);
+        uint32_t len = btreeValueMax + 1;
+        std::memcpy(leaf.data.data() + 8 + bad * leafSlotBytes +
+                        btreeKeyBytes,
+                    &len, 4);
+        for (const char *k : {"a", "c", "zz"})
+            EXPECT_DEATH(db.get(k), "corrupt leaf slot") << k;
+        EXPECT_DEATH(db.scan("a", 1), "corrupt leaf slot");
+        EXPECT_DEATH(db.scan("c", 3), "corrupt leaf slot");
+    }
 }
 
 TEST_F(MiniDbTest, YcsbLoadAndAllWorkloadsRun)
