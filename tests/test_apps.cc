@@ -269,6 +269,22 @@ TEST_F(MiniDbDeathTest, CorruptLeafSlotPanicsThroughGetAndScan)
     }
 }
 
+/** A slot count past the node's capacity indexes beyond the page
+ *  (a leaf's fifth slot would start past its end): every reader
+ *  refuses it. */
+TEST_F(MiniDbDeathTest, SlotCountPastCapacityPanics)
+{
+    MiniDb db = makeDb("overfull.db");
+    std::vector<uint8_t> value(100, 7);
+    db.put("a", value.data(), uint32_t(value.size()));
+    DbPage &leaf = db.pager().get(1);
+    uint16_t nkeys = 5; // a leaf holds three slots
+    std::memcpy(leaf.data.data() + 2, &nkeys, 2);
+    EXPECT_DEATH(db.get("a"), "corrupt node");
+    EXPECT_DEATH(db.scan("a", 1), "corrupt node");
+    EXPECT_DEATH(db.tree().erase(BtKey::fromString("a")), "corrupt node");
+}
+
 TEST_F(MiniDbTest, YcsbLoadAndAllWorkloadsRun)
 {
     MiniDb db = makeDb("ycsb.db", 128);

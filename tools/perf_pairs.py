@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 import run  # noqa: E402  (perfbench/run.py)
 
 
@@ -33,8 +34,7 @@ def quartiles(xs):
     """(q1, median, q3) of @xs; a single value is all three."""
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
-    q1, q2, q3 = statistics.quantiles(xs, n=4)
-    return q1, q2, q3
+    return tuple(statistics.quantiles(xs, n=4))
 
 
 def measure(binary, args):
